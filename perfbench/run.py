@@ -10,10 +10,12 @@ then runs the benchmark with the given arguments and exits with its
 exit code. The benchmark's last line of standard output is the JSON
 result; records and span files go to `<target dir>/perfbench-out`.
 
-The builds are skipped while the sources are unchanged since the last
-successful build: outside a git checkout the crates' build scripts ask
-Cargo to rebuild on every invocation (they watch `.git/HEAD`), which
-would otherwise cost every run a rebuild.
+In a git checkout Cargo alone decides what to rebuild. Outside one, the
+serve and artifact crates' build scripts watch `.git/HEAD`, a file that
+does not exist there, so Cargo would rebuild them (about 20 s) on every
+run. There the builds are skipped while a stamp is unchanged: a hash of
+the sources' contents, the toolchain versions and every RUSTFLAGS,
+RUSTC* and CARGO* variable of the environment.
 """
 
 import hashlib
@@ -25,22 +27,46 @@ import sys
 SOURCES = ["Cargo.toml", "Cargo.lock", "crates", "vendor", "perfbench"]
 
 
-def source_stamp(root: str) -> str:
-    """Hash of the path, size and mtime of every source file."""
+def source_hash(root: str) -> str:
+    """SHA-256 over the path and contents of every source file."""
     digest = hashlib.sha256()
     for top in SOURCES:
-        for dirpath, dirnames, filenames in os.walk(os.path.join(root, top)):
-            dirnames[:] = sorted(d for d in dirnames if d != "target")
-            for name in sorted(filenames):
-                path = os.path.join(dirpath, name)
-                st = os.stat(path)
-                rel = os.path.relpath(path, root)
-                digest.update(f"{rel}:{st.st_size}:{st.st_mtime_ns}\n".encode())
         path = os.path.join(root, top)
         if os.path.isfile(path):
-            st = os.stat(path)
-            digest.update(f"{top}:{st.st_size}:{st.st_mtime_ns}\n".encode())
+            files = [path]
+        else:
+            files = []
+            for dirpath, dirnames, filenames in os.walk(path):
+                dirnames[:] = sorted(d for d in dirnames if d != "target")
+                files += [os.path.join(dirpath, f) for f in sorted(filenames)]
+        for f in files:
+            digest.update(os.path.relpath(f, root).encode() + b"\0")
+            with open(f, "rb") as fh:
+                digest.update(hashlib.sha256(fh.read()).digest())
     return digest.hexdigest()
+
+
+def revision(root: str, sources: str) -> str:
+    """The git commit under test, or the source hash outside git."""
+    if os.path.exists(os.path.join(root, ".git")):
+        head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root,
+                              capture_output=True, text=True)
+        if head.returncode == 0:
+            dirty = subprocess.run(
+                ["git", "status", "--porcelain", "--untracked-files=no"],
+                cwd=root, capture_output=True, text=True).stdout.strip()
+            return head.stdout.strip() + ("-dirty" if dirty else "")
+    return "source-sha256:" + sources
+
+
+def build_stamp(sources: str) -> str:
+    """What the skipped builds depend on besides the sources."""
+    parts = [sources]
+    for tool in ("rustc", "cargo"):
+        parts.append(subprocess.run([tool, "-V"], capture_output=True, text=True).stdout)
+    parts += sorted(f"{k}={v}" for k, v in os.environ.items()
+                    if k.startswith(("RUSTFLAGS", "RUSTC", "CARGO")))
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
 
 def main() -> int:
@@ -54,13 +80,16 @@ def main() -> int:
     pack_city = os.path.join(workspace_target, "release", "pack_city")
     stamp_file = os.path.join(target, "perfbench.stamp")
 
-    stamp = source_stamp(root)
-    built = all(os.path.isfile(p) for p in (bench, serve_http, pack_city))
-    try:
-        with open(stamp_file) as f:
-            fresh = built and f.read() == stamp
-    except OSError:
-        fresh = False
+    sources = source_hash(root)
+    in_git = os.path.exists(os.path.join(root, ".git"))
+    stamp = None if in_git else build_stamp(sources)
+    fresh = False
+    if stamp is not None and all(os.path.isfile(p) for p in (bench, serve_http, pack_city)):
+        try:
+            with open(stamp_file) as f:
+                fresh = f.read() == stamp
+        except OSError:
+            pass
     if not fresh:
         builds = [
             ["cargo", "build", "--release", "--offline", "--quiet",
@@ -77,12 +106,14 @@ def main() -> int:
             if done.returncode != 0:
                 print(f"run.py: build failed: {' '.join(cmd)}", file=sys.stderr)
                 return done.returncode or 1
-        with open(stamp_file, "w") as f:
-            f.write(stamp)
+        if stamp is not None:
+            with open(stamp_file, "w") as f:
+                f.write(stamp)
 
     out = os.path.join(target, "perfbench-out")
     os.makedirs(out, exist_ok=True)
-    cmd = [bench, *sys.argv[1:], "--serve-http", serve_http, "--pack-city", pack_city, "--out", out]
+    cmd = [bench, *sys.argv[1:], "--serve-http", serve_http, "--pack-city", pack_city,
+           "--out", out, "--revision", revision(root, sources)]
     return subprocess.run(cmd, cwd=root).returncode
 
 

@@ -1,5 +1,5 @@
-//! In-process engine workloads: `engine_bursty` (open loop, streamed,
-//! mixed trip lengths) and `bulk_offline` (closed window, long trips).
+//! `bulk_offline`: the in-process engine under a closed window of
+//! streamed long trips.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -21,63 +21,34 @@ use crate::stats::{mean, median, summarize};
 use crate::trace::{ledger, Tracer};
 use crate::{gen, probes, sys, RunConfig, CELL_M, DOWNSAMPLE, EVAL_SEED, MODEL_SEED, SETUP_REPS};
 
-pub const SHORT_LEN: usize = 33;
-pub const LONG_LEN: usize = 129;
-/// Streams shorter than this give no step-gap sample: first and last
-/// step are seen at poll time, and over fewer steps that error would
-/// dominate the gap.
-const GAP_MIN_STEPS: usize = 64;
+pub const BLOCKS: usize = 14;
+pub const DIM: usize = 128;
+/// Ground-truth steps of every trip.
+pub const TRIP_LEN: usize = 129;
+/// Distinct trips; requests draw from them.
+pub const TRIPS: usize = 16;
+/// A response slower than this misses the SLO.
+pub const SLO_MS: f64 = 2000.0;
+/// How often the generator thread polls its handles for step events.
+const POLL: Duration = Duration::from_micros(500);
 
-pub enum Load {
-    /// Compound-Poisson bursts at a fixed mean rate.
-    Open {
-        rate_per_s: f64,
-        burst_max: usize,
-        jitter: Duration,
-    },
-    /// A fixed number of requests outstanding at all times.
-    Closed { window: usize },
+/// Requests outstanding at all times: two full batches.
+pub fn window() -> usize {
+    2 * EngineConfig::default().max_batch
 }
 
-/// Latency limit a request must meet to count toward `slo_attainment`.
-#[derive(Clone, Copy)]
-pub enum Slo {
-    TtfsMs(f64),
-    LatencyMs(f64),
-}
-
-pub struct Params {
-    pub blocks: usize,
-    pub dim: usize,
-    /// Distinct short and long trips; requests cycle through them.
-    pub short: usize,
-    pub long: usize,
-    /// In open loop, every `long_every`-th request is a long trip.
-    pub long_every: usize,
-    pub load: Load,
-    /// How often the generator thread polls its handles for step events.
-    pub poll: Duration,
-    pub slo: Slo,
-}
-
-pub enum Plan {
-    Open {
-        due: Vec<Duration>,
-        order: Vec<usize>,
-    },
-    Closed {
-        window: usize,
-        span: Option<Duration>,
-        count: Option<usize>,
-        order: Vec<usize>,
-    },
+/// A closed loop: `window` requests outstanding until `span` has passed
+/// or `count` requests were sent, each sending `order[k % len]`.
+struct Plan {
+    window: usize,
+    span: Option<Duration>,
+    count: Option<usize>,
+    order: Vec<usize>,
 }
 
 impl Plan {
-    fn input_of(&self, k: usize) -> usize {
-        match self {
-            Plan::Open { order, .. } | Plan::Closed { order, .. } => order[k % order.len()],
-        }
+    fn sending(&self, start: Instant, next: usize) -> bool {
+        self.span.is_none_or(|s| Instant::now() < start + s) && self.count.is_none_or(|c| next < c)
     }
 }
 
@@ -85,7 +56,6 @@ struct Live {
     h: RecoveryHandle,
     input: usize,
     req: u64,
-    due: Instant,
     submit_start: Instant,
     submitted: Instant,
     first: Option<Instant>,
@@ -144,16 +114,14 @@ fn drain_steps(l: &mut Live, expected: &Expected) {
 }
 
 /// Drive `engine` through `plan` from one generator thread, which also
-/// polls every outstanding handle for step events. Open-loop requests
-/// are timed from their due time, closed-loop ones from submission.
-#[allow(clippy::too_many_arguments)]
-pub fn drive(
+/// polls every outstanding handle for step events. Requests are timed
+/// from submission; the generator is late by the time between a slot
+/// freeing and its next submission.
+fn drive(
     engine: &RecoveryEngine,
     inputs: &[SampleInput],
     expected: &[Expected],
     plan: &Plan,
-    poll: Duration,
-    slo: Slo,
     tracer: &mut Tracer,
     report: &mut Report,
 ) -> Phase {
@@ -162,43 +130,19 @@ pub fn drive(
     let start = Instant::now();
     let mut next = 0usize;
     let mut live: Vec<Live> = Vec::new();
-    let mut freed: VecDeque<Instant> = VecDeque::new();
-    if let Plan::Closed { window, .. } = plan {
-        freed.extend(std::iter::repeat_n(start, *window));
-    }
+    // When each free slot of the window freed.
+    let mut freed: VecDeque<Instant> = std::iter::repeat_n(start, plan.window).collect();
     let mut last_done = start;
     loop {
-        let now = Instant::now();
-        let mut to_submit = Vec::new();
-        match plan {
-            Plan::Open { due, .. } => {
-                while next < due.len() && start + due[next] <= now {
-                    to_submit.push((next, start + due[next]));
-                    next += 1;
-                }
-            }
-            Plan::Closed {
-                window,
-                span,
-                count,
-                ..
-            } => {
-                while live.len() + to_submit.len() < *window
-                    && span.is_none_or(|s| now < start + s)
-                    && count.is_none_or(|c| next < c)
-                {
-                    let slot = freed.pop_front().unwrap_or(now);
-                    to_submit.push((next, slot));
-                    next += 1;
-                }
-            }
-        }
-        for (k, due) in to_submit {
-            let input = plan.input_of(k);
+        while live.len() < plan.window && plan.sending(start, next) {
+            let k = next;
+            next += 1;
+            let slot = freed.pop_front().unwrap_or(start);
+            let input = plan.order[k % plan.order.len()];
             let owned = inputs[input].clone();
             let submit_start = Instant::now();
             ph.late_ms
-                .push(submit_start.saturating_duration_since(due).as_secs_f64() * 1e3);
+                .push(submit_start.saturating_duration_since(slot).as_secs_f64() * 1e3);
             let res = engine.submit(owned, SubmitOptions::new().stream());
             let submitted = Instant::now();
             ph.sent += 1;
@@ -207,11 +151,6 @@ pub fn drive(
                     h,
                     input,
                     req: k as u64,
-                    due: if matches!(plan, Plan::Open { .. }) {
-                        due
-                    } else {
-                        submit_start
-                    },
                     submit_start,
                     submitted,
                     first: None,
@@ -222,6 +161,7 @@ pub fn drive(
                 Err(e) => {
                     ph.rejected += 1;
                     ph.failed += 1;
+                    freed.push_back(submitted);
                     report.fail(format!("request {k} rejected: {e}"));
                 }
             }
@@ -249,15 +189,12 @@ pub fn drive(
                 )),
                 (None, None) => exp.check(&r.path),
             };
-            let latency = done.saturating_duration_since(l.due).as_secs_f64() * 1e3;
-            let ttfs = l
-                .first
-                .map(|f| f.saturating_duration_since(l.due).as_secs_f64() * 1e3);
-            if let Some(t) = ttfs {
-                ph.ttfs_ms.push(t);
+            let latency = (done - l.submit_start).as_secs_f64() * 1e3;
+            if let Some(f) = l.first {
+                ph.ttfs_ms.push((f - l.submit_start).as_secs_f64() * 1e3);
             }
             if let (Some(f), Some(z)) = (l.first, l.last) {
-                if l.steps >= GAP_MIN_STEPS {
+                if l.steps > 1 {
                     ph.gap_ms
                         .push((z - f).as_secs_f64() * 1e3 / (l.steps - 1) as f64);
                 }
@@ -269,11 +206,7 @@ pub fn drive(
             match verdict {
                 Ok(()) => {
                     ph.succeeded += 1;
-                    let within = match slo {
-                        Slo::TtfsMs(lim) => ttfs.is_some_and(|t| t <= lim),
-                        Slo::LatencyMs(lim) => latency <= lim,
-                    };
-                    ph.slo_met += u64::from(within);
+                    ph.slo_met += u64::from(latency <= SLO_MS);
                 }
                 Err(why) => {
                     ph.failed += 1;
@@ -281,31 +214,17 @@ pub fn drive(
                 }
             }
             if tracer.enabled() {
-                let root = tracer.record("engine.request", l.req, None, l.due, done);
+                let root = tracer.record("engine.request", l.req, None, l.submit_start, done);
                 tracer.record("engine.submit", l.req, root, l.submit_start, l.submitted);
                 let waited = l.submitted + r.queue_wait;
                 tracer.record("engine.queue_wait", l.req, root, l.submitted, waited);
                 tracer.record("engine.compute", l.req, root, waited, waited + r.compute);
             }
         }
-        let submitting = match plan {
-            Plan::Open { due, .. } => next < due.len(),
-            Plan::Closed { span, count, .. } => {
-                span.is_none_or(|s| Instant::now() < start + s) && count.is_none_or(|c| next < c)
-            }
-        };
-        if !submitting && live.is_empty() {
+        if !plan.sending(start, next) && live.is_empty() {
             break;
         }
-        let mut wake = Instant::now() + poll;
-        if let Plan::Open { due, .. } = plan {
-            if let Some(d) = due.get(next) {
-                wake = wake.min(start + *d);
-            }
-        }
-        if let Some(wait) = wake.checked_duration_since(Instant::now()) {
-            std::thread::sleep(wait);
-        }
+        std::thread::sleep(POLL);
     }
     ph.wall = last_done - start;
     let after = engine.stats();
@@ -318,40 +237,16 @@ pub fn drive(
     ph
 }
 
-fn plan(p: &Params, seed: u64, span: Duration) -> Plan {
-    match p.load {
-        Load::Open {
-            rate_per_s,
-            burst_max,
-            jitter,
-        } => {
-            let due = gen::burst_schedule(seed, rate_per_s, burst_max, jitter, span);
-            let order = gen::mixed_order(seed, due.len(), p.short, p.long, p.long_every);
-            Plan::Open { due, order }
-        }
-        Load::Closed { window } => Plan::Closed {
-            window,
-            span: Some(span),
-            count: None,
-            order: gen::mixed_order(seed, 4096, p.short, p.long, p.long_every),
-        },
-    }
+/// Time per trajectory of a phase, for the tracing-overhead ratio.
+fn ms_per_traj(ph: &Phase) -> f64 {
+    ph.wall.as_secs_f64() * 1e3 / ph.succeeded.max(1) as f64
 }
 
-/// Headline time of a phase, for the tracing-overhead ratio: median
-/// latency in open loop, time per trajectory in closed loop.
-fn headline_ms(p: &Params, ph: &Phase) -> f64 {
-    match p.load {
-        Load::Open { .. } => median(&ph.latency_ms),
-        Load::Closed { .. } => ph.wall.as_secs_f64() * 1e3 / ph.succeeded.max(1) as f64,
-    }
-}
-
-pub fn run(cfg: &RunConfig, p: &Params, trace: bool) -> Result<Report, String> {
+pub fn run(cfg: &RunConfig, trace: bool) -> Result<Report, String> {
     let mut report = Report::default();
     let city_cfg = CityConfig {
-        blocks_x: p.blocks,
-        blocks_y: p.blocks,
+        blocks_x: BLOCKS,
+        blocks_y: BLOCKS,
         ..CityConfig::default()
     };
 
@@ -361,21 +256,17 @@ pub fn run(cfg: &RunConfig, p: &Params, trace: bool) -> Result<Report, String> {
     let rtree = RTree::build(&city.net);
     let grid = city.net.grid(CELL_M);
     let fx = FeatureExtractor::new(&city.net, &rtree, grid);
-    let mut trips = gen::trips(&city.net, cfg.seed, "short", SHORT_LEN, p.short, DOWNSAMPLE);
-    trips.extend(gen::trips(
-        &city.net, cfg.seed, "long", LONG_LEN, p.long, DOWNSAMPLE,
-    ));
+    let trips = gen::trips(&city.net, cfg.seed, "trips", TRIP_LEN, TRIPS, DOWNSAMPLE);
     let inputs: Vec<SampleInput> = trips.iter().map(|t| fx.extract(t)).collect();
     let bodies: Vec<String> = trips.iter().map(gen::request_body).collect();
     // The tape references come from a child process, so that this
     // process's memory high-water mark is the serving stack's alone.
     let refs = cfg.work_dir.join("references.txt");
     if cfg.oracle {
-        let model = EndToEnd::build(&MethodSpec::RnTrajRec, &city.net, &grid, p.dim, MODEL_SEED);
+        let model = EndToEnd::build(&MethodSpec::RnTrajRec, &city.net, &grid, DIM, MODEL_SEED);
         let paths: Vec<_> = inputs.iter().map(|i| tape_reference(&model, i)).collect();
-        let eval_len = if p.short > 0 { SHORT_LEN } else { LONG_LEN };
         let eval: Vec<SampleInput> =
-            gen::trips(&city.net, EVAL_SEED, "eval", eval_len, 4, DOWNSAMPLE)
+            gen::trips(&city.net, EVAL_SEED, "eval", TRIP_LEN, 4, DOWNSAMPLE)
                 .iter()
                 .map(|t| fx.extract(t))
                 .collect();
@@ -401,29 +292,29 @@ pub fn run(cfg: &RunConfig, p: &Params, trace: bool) -> Result<Report, String> {
         .map(|(path, i)| Expected::new(path, i, num_segments))
         .collect();
 
-    // Set-up, several times; the last one serves.
-    let mut setup_s = Vec::new();
-    let mut stack = None;
+    // Set-up: city, model and `ServingModel::new` several times, each
+    // copy dropped before the next is built; the last one serves. Its
+    // engine is the only one started.
+    let mut build_s = Vec::new();
+    let mut serving = None;
     for _ in 0..SETUP_REPS {
+        drop(serving.take());
         let t = Instant::now();
         let c = SyntheticCity::generate(city_cfg.clone());
         let g = c.net.grid(CELL_M);
-        let m = EndToEnd::build(&MethodSpec::RnTrajRec, &c.net, &g, p.dim, MODEL_SEED);
-        let serving = Arc::new(ServingModel::new(m).map_err(|e| e.to_string())?);
-        let engine = start_engine(Arc::clone(&serving), EngineConfig::default());
-        setup_s.push(t.elapsed().as_secs_f64());
-        stack = Some((c, serving, engine));
+        let m = EndToEnd::build(&MethodSpec::RnTrajRec, &c.net, &g, DIM, MODEL_SEED);
+        serving = Some(Arc::new(ServingModel::new(m).map_err(|e| e.to_string())?));
+        build_s.push(t.elapsed().as_secs_f64());
     }
-    let (c, serving, engine) = stack.expect("at least one set-up");
+    let serving = serving.expect("at least one set-up");
+    let t = Instant::now();
+    let engine = start_engine(Arc::clone(&serving), EngineConfig::default());
+    let start_s = t.elapsed().as_secs_f64();
 
     // Warm-up: every distinct input once. Not timed, but its cost shows
     // in setup_s.
-    let warm_window = match p.load {
-        Load::Closed { window } => window,
-        Load::Open { .. } => EngineConfig::default().max_batch,
-    };
-    let warm_plan = Plan::Closed {
-        window: warm_window,
+    let warm_plan = Plan {
+        window: window(),
         span: None,
         count: Some(inputs.len()),
         order: (0..inputs.len()).collect(),
@@ -434,28 +325,30 @@ pub fn run(cfg: &RunConfig, p: &Params, trace: bool) -> Result<Report, String> {
         &inputs,
         &expected,
         &warm_plan,
-        p.poll,
-        p.slo,
         &mut off,
         &mut report,
     );
-    report.e2e.setup_s = median(&setup_s) + warm.wall.as_secs_f64();
+    report.e2e.setup_s = median(&build_s) + start_s + warm.wall.as_secs_f64();
+    report.detail(
+        "setup",
+        serde_json::json!({
+            "build_s": build_s,
+            "engine_start_s": start_s,
+            "warmup_s": warm.wall.as_secs_f64(),
+        }),
+    );
     report.attempted += warm.sent;
     report.detail("phase_warmup", warm.counts());
 
     let seconds = Duration::from_secs_f64(cfg.seconds);
     if !trace {
-        let plan = plan(p, cfg.seed, seconds);
-        let ph = drive(
-            &engine,
-            &inputs,
-            &expected,
-            &plan,
-            p.poll,
-            p.slo,
-            &mut off,
-            &mut report,
-        );
+        let plan = Plan {
+            window: window(),
+            span: Some(seconds),
+            count: None,
+            order: gen::pick_order(cfg.seed, 4096, inputs.len()),
+        };
+        let ph = drive(&engine, &inputs, &expected, &plan, &mut off, &mut report);
         report.attempted += ph.sent;
         report.e2e.latency_ms = ph.latency_ms.clone();
         report.e2e.ttfs_ms = ph.ttfs_ms.clone();
@@ -468,34 +361,21 @@ pub fn run(cfg: &RunConfig, p: &Params, trace: bool) -> Result<Report, String> {
         generator_check(&mut report, &ph.late_ms);
     } else {
         let half = seconds / 2;
-        let plan = plan(p, cfg.seed, half);
-        let base = drive(
-            &engine,
-            &inputs,
-            &expected,
-            &plan,
-            p.poll,
-            p.slo,
-            &mut off,
-            &mut report,
-        );
+        let plan = Plan {
+            window: window(),
+            span: Some(half),
+            count: None,
+            order: gen::pick_order(cfg.seed, 4096, inputs.len()),
+        };
+        let base = drive(&engine, &inputs, &expected, &plan, &mut off, &mut report);
         let mut tracer = Tracer::new(true);
-        let ph = drive(
-            &engine,
-            &inputs,
-            &expected,
-            &plan,
-            p.poll,
-            p.slo,
-            &mut tracer,
-            &mut report,
-        );
+        let ph = drive(&engine, &inputs, &expected, &plan, &mut tracer, &mut report);
         report.attempted += base.sent + ph.sent;
         report.detail("phase_untraced", base.counts());
         report.detail("phase_traced", ph.counts());
         let qw = summarize(&ph.queue_wait_ms);
         report.layer("engine.queue_wait_p50_ms", qw.p50);
-        report.layer("engine.queue_wait_p99_ms", qw.tail);
+        report.layer("engine.queue_wait_p99_ms", qw.p99.value);
         report.layer("engine.compute_p50_ms", median(&ph.compute_ms));
         report.layer("engine.batch_size_mean", mean(&ph.batch_size));
         let (requests, admitted, batches, by_deadline) = ph.stats_delta;
@@ -516,16 +396,16 @@ pub fn run(cfg: &RunConfig, p: &Params, trace: bool) -> Result<Report, String> {
             "ledger.unattributed_ms",
             median(&rows.iter().map(|r| r.1).collect::<Vec<_>>()),
         );
-        report.layer("bench.gen_late_p99_ms", summarize(&ph.late_ms).tail);
+        report.layer("bench.gen_late_p99_ms", summarize(&ph.late_ms).p99.value);
         report.layer("bench.sent", ph.sent as f64);
         report.layer("bench.succeeded", ph.succeeded as f64);
         report.layer("bench.failed", ph.failed as f64);
         report.layer(
             "bench.trace_overhead",
-            headline_ms(p, &ph) / headline_ms(p, &base),
+            ms_per_traj(&ph) / ms_per_traj(&base),
         );
 
-        let ctx = Arc::new(QueryContext::new(c.net.clone(), CELL_M));
+        let ctx = Arc::new(QueryContext::new(city.net.clone(), CELL_M));
         let router = Arc::new(ShardRouter::new(vec![CityShard::new(
             "bench",
             Arc::clone(&engine),
@@ -536,7 +416,7 @@ pub fn run(cfg: &RunConfig, p: &Params, trace: bool) -> Result<Report, String> {
             city: &city_cfg,
             net: &city.net,
             grid: &grid,
-            dim: p.dim,
+            dim: DIM,
             serving: &serving,
             inputs: &inputs,
             bodies: &bodies,
@@ -563,15 +443,15 @@ pub fn start_engine(serving: Arc<ServingModel>, config: EngineConfig) -> Arc<Rec
     engine
 }
 
-/// Flag (never drop) a run whose open-loop generator fell behind.
+/// Flag (never drop) a run whose generator fell behind.
 pub fn generator_check(report: &mut Report, late_ms: &[f64]) {
     let late = summarize(late_ms);
     report.detail(
         "generator_late_ms",
-        serde_json::json!({"p50": late.p50, "tail": late.tail, "tail_percentile": late.tail_pct}),
+        serde_json::json!({"p50": late.p50, "p99": late.p99.value, "p99_percentile": late.p99.pct}),
     );
     report.detail(
         "generator_fell_behind",
-        serde_json::json!(late.tail > crate::GENERATOR_LATE_LIMIT_MS),
+        serde_json::json!(late.p99.value > crate::GENERATOR_LATE_LIMIT_MS),
     );
 }

@@ -1,12 +1,11 @@
 //! Seeded inputs: trips from the repository's `Simulator` and the
-//! open-loop arrival schedule. Every random draw derives from the
+//! order requests send them in. Every random draw derives from the
 //! benchmark's `--seed`, split into named streams so that one input
 //! family never shifts another.
 
 use std::time::Duration;
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rntrajrec::wire::RecoverRequest;
 use rntrajrec_roadnet::RoadNetwork;
@@ -60,56 +59,6 @@ pub fn request_body(trip: &TrajSample) -> String {
     serde_json::to_string(&req).expect("request serializes")
 }
 
-/// Compound-Poisson arrivals: bursts start at exponential gaps, each
-/// holds 1..=`burst_max` requests spread over `jitter`. Exactly
-/// `rate_per_s · span` requests are drawn and the draw is rescaled onto
-/// `span`, so every seed offers the same mean rate. Gaps and burst sizes
-/// are stratified in blocks of [`STRATA`] bursts (one draw from each
-/// 1/[`STRATA`] quantile band of the gap distribution, each size equally
-/// often, in a seeded order): the marginal distributions stay exactly
-/// exponential and uniform, while the pattern varies far less from seed
-/// to seed than independent draws do. Returns due offsets, sorted.
-pub fn burst_schedule(
-    seed: u64,
-    rate_per_s: f64,
-    burst_max: usize,
-    jitter: Duration,
-    span: Duration,
-) -> Vec<Duration> {
-    let mut rng = rng(seed, "schedule");
-    let n = (rate_per_s * span.as_secs_f64()).round() as usize;
-    let mean_gap = (1 + burst_max) as f64 / 2.0 / rate_per_s;
-    let mut due: Vec<f64> = Vec::with_capacity(n);
-    let mut t = 0.0f64;
-    while due.len() < n {
-        let mut bands: Vec<usize> = (0..STRATA).collect();
-        bands.shuffle(&mut rng);
-        let mut sizes: Vec<usize> = (0..STRATA).map(|i| 1 + i % burst_max).collect();
-        sizes.shuffle(&mut rng);
-        for (band, size) in bands.into_iter().zip(sizes) {
-            if due.len() == n {
-                break;
-            }
-            let u = (band as f64 + rng.gen_range(f64::EPSILON..1.0)) / STRATA as f64;
-            t += -u.ln() * mean_gap;
-            let k = size.min(n - due.len());
-            due.push(t);
-            for _ in 1..k {
-                due.push(t + rng.gen_range(0.0..jitter.as_secs_f64()));
-            }
-        }
-    }
-    due.sort_by(f64::total_cmp);
-    // The span ends one mean gap after the last burst.
-    let scale = span.as_secs_f64() / (t + mean_gap);
-    due.into_iter()
-        .map(|d| Duration::from_secs_f64(d * scale))
-        .collect()
-}
-
-/// Bursts per stratified block of [`burst_schedule`].
-pub const STRATA: usize = 16;
-
 /// A closed-loop client's requests: which of `pool` bodies each sends,
 /// and a uniform 0..`think_ms` pause before it.
 pub fn think_order(seed: u64, n: usize, pool: usize, think_ms: f64) -> Vec<(usize, Duration)> {
@@ -125,26 +74,10 @@ pub fn think_order(seed: u64, n: usize, pool: usize, think_ms: f64) -> Vec<(usiz
         .collect()
 }
 
-/// Request order over `short` short inputs followed by `long` long ones:
-/// every `long_every`-th request is long, so the length mix is the same
-/// on every seed; which input of a kind is drawn per request.
-pub fn mixed_order(
-    seed: u64,
-    n: usize,
-    short: usize,
-    long: usize,
-    long_every: usize,
-) -> Vec<usize> {
+/// Which of `pool` inputs each of `n` requests sends.
+pub fn pick_order(seed: u64, n: usize, pool: usize) -> Vec<usize> {
     let mut rng = rng(seed, "order");
-    (0..n)
-        .map(|k| {
-            if short == 0 || (long > 0 && k % long_every == long_every - 1) {
-                short + rng.gen_range(0..long)
-            } else {
-                rng.gen_range(0..short)
-            }
-        })
-        .collect()
+    (0..n).map(|_| rng.gen_range(0..pool)).collect()
 }
 
 #[cfg(test)]
@@ -171,22 +104,12 @@ mod tests {
     }
 
     #[test]
-    fn same_seed_same_schedule_other_seed_other_schedule() {
-        let span = Duration::from_secs(5);
-        let jitter = Duration::from_millis(8);
-        let a = burst_schedule(1, 40.0, 6, jitter, span);
-        assert_eq!(a, burst_schedule(1, 40.0, 6, jitter, span));
-        assert_ne!(a, burst_schedule(2, 40.0, 6, jitter, span));
-        assert!(a.windows(2).all(|w| w[0] <= w[1]));
-        assert!(a.iter().all(|d| *d < span));
-        // Exactly the asked mean rate, on every seed.
-        assert_eq!(a.len(), 200);
-        assert_eq!(burst_schedule(2, 40.0, 6, jitter, span).len(), 200);
+    fn same_seed_same_order_other_seed_other_order() {
         assert_eq!(think_order(3, 20, 8, 10.0), think_order(3, 20, 8, 10.0));
         assert_ne!(think_order(3, 20, 8, 10.0), think_order(4, 20, 8, 10.0));
-        let mix = mixed_order(1, 40, 4, 2, 4);
-        assert_eq!(mix.iter().filter(|&&i| i >= 4).count(), 10);
-        assert_eq!(mix, mixed_order(1, 40, 4, 2, 4));
-        assert_ne!(mix, mixed_order(2, 40, 4, 2, 4));
+        let order = pick_order(1, 40, 16);
+        assert_eq!(order, pick_order(1, 40, 16));
+        assert_ne!(order, pick_order(2, 40, 16));
+        assert!(order.iter().all(|&i| i < 16));
     }
 }

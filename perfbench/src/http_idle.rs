@@ -390,7 +390,7 @@ fn measure(
         tracer.record("http.request", i as u64, None, send, end);
     }
     report.layer("http.overhead_p50_ms", median(&ph.overhead_ms));
-    report.layer("bench.gen_late_p99_ms", summarize(&ph.late_ms).tail);
+    report.layer("bench.gen_late_p99_ms", summarize(&ph.late_ms).p99.value);
     report.layer("bench.sent", ph.sent as f64);
     report.layer("bench.succeeded", ph.succeeded as f64);
     report.layer("bench.failed", ph.failed as f64);

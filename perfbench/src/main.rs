@@ -1,7 +1,6 @@
 //! The repository benchmark: seeded workloads over the RNTrajRec serving
 //! and training stack, with end-to-end metrics (`--trace 0`) or per-layer
-//! metrics from a traced run (`--trace 1`). `engine_bursty` runs too but
-//! is not in `BENCHMARK.json` (see README.md).
+//! metrics from a traced run (`--trace 1`).
 //!
 //! ```text
 //! python3 perfbench/run.py --workload http_idle --seed 1 --seconds 10 --trace 0
@@ -25,9 +24,7 @@ mod train;
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Duration;
 
-use engine::{Load, Params, Slo};
 use report::{result_line, Report, END_TO_END, PER_LAYER};
 
 /// Grid cell size of every model and feature extractor (the paper's).
@@ -41,94 +38,28 @@ pub const MODEL_SEED: u64 = 7;
 pub const EVAL_SEED: u64 = 0;
 /// Set-ups per run; `setup_s` is their median.
 pub const SETUP_REPS: usize = 5;
-/// An open-loop generator whose tail lateness exceeds this fell behind.
+/// A generator whose tail lateness exceeds this fell behind.
 pub const GENERATOR_LATE_LIMIT_MS: f64 = 5.0;
 
-pub const WORKLOADS: &[&str] = &["http_idle", "engine_bursty", "bulk_offline", "train_epoch"];
-
-/// Mean offered rate of `engine_bursty`: about a quarter of the
-/// closed-loop capacity (~200 req/s) measured for its trip mix on a
-/// 2-core x86-64 host with AVX2. Fixed, so every run offers the same
-/// load.
-pub const BURSTY_RATE_PER_S: f64 = 50.0;
+pub const WORKLOADS: &[&str] = &["http_idle", "bulk_offline", "train_epoch"];
 
 pub struct RunConfig {
     pub workload: String,
     pub seed: u64,
     pub seconds: f64,
     pub trace: bool,
-    /// Only compute the tape references into the work directory (the
-    /// engine workloads run themselves this way as a child process).
+    /// Only compute the tape references into the work directory
+    /// (`bulk_offline` runs itself this way as a child process).
     pub oracle: bool,
     pub work_dir: PathBuf,
     pub serve_http: Option<PathBuf>,
     pub pack_city: Option<PathBuf>,
-}
-
-fn bursty() -> Params {
-    Params {
-        blocks: 14,
-        dim: 64,
-        short: 48,
-        long: 16,
-        long_every: 4,
-        load: Load::Open {
-            rate_per_s: BURSTY_RATE_PER_S,
-            burst_max: 4,
-            jitter: Duration::from_millis(8),
-        },
-        poll: Duration::from_micros(100),
-        slo: Slo::TtfsMs(100.0),
-    }
-}
-
-fn bulk() -> Params {
-    Params {
-        blocks: 14,
-        dim: 128,
-        short: 0,
-        long: 16,
-        long_every: 1,
-        load: Load::Closed {
-            window: 2 * rntrajrec_serve::EngineConfig::default().max_batch,
-        },
-        poll: Duration::from_micros(500),
-        slo: Slo::LatencyMs(2000.0),
-    }
+    /// The source revision under test, for the record.
+    pub revision: String,
 }
 
 /// What each workload runs, for the record.
 fn workload_params(name: &str) -> serde_json::Value {
-    let engine = |p: &Params| {
-        let load = match p.load {
-            Load::Open {
-                rate_per_s,
-                burst_max,
-                jitter,
-            } => serde_json::json!({
-                "loop": "open",
-                "rate_per_s": rate_per_s,
-                "burst_max": burst_max,
-                "burst_jitter_ms": jitter.as_secs_f64() * 1e3,
-            }),
-            Load::Closed { window } => serde_json::json!({"loop": "closed", "window": window}),
-        };
-        let slo = match p.slo {
-            Slo::TtfsMs(ms) => serde_json::json!({"ttfs_ms": ms}),
-            Slo::LatencyMs(ms) => serde_json::json!({"latency_ms": ms}),
-        };
-        serde_json::json!({
-            "city_blocks": p.blocks,
-            "d": p.dim,
-            "trip_lengths": [engine::SHORT_LEN, engine::LONG_LEN],
-            "distinct_short": p.short,
-            "distinct_long": p.long,
-            "long_every": p.long_every,
-            "load": load,
-            "slo": slo,
-            "engine": "EngineConfig::default()",
-        })
-    };
     match name {
         "http_idle" => serde_json::json!({
             "city_blocks": http_idle::BLOCKS,
@@ -139,8 +70,15 @@ fn workload_params(name: &str) -> serde_json::Value {
             "slo": serde_json::json!({"latency_ms": http_idle::SLO_MS}),
             "server": "serve_http defaults over one pack_city artifact",
         }),
-        "engine_bursty" => engine(&bursty()),
-        "bulk_offline" => engine(&bulk()),
+        "bulk_offline" => serde_json::json!({
+            "city_blocks": engine::BLOCKS,
+            "d": engine::DIM,
+            "trip_lengths": [engine::TRIP_LEN],
+            "distinct_trips": engine::TRIPS,
+            "load": serde_json::json!({"loop": "closed", "window": engine::window()}),
+            "slo": serde_json::json!({"latency_ms": engine::SLO_MS}),
+            "engine": "EngineConfig::default()",
+        }),
         _ => serde_json::json!({
             "dataset": format!("chengdu(downsample {DOWNSAMPLE}, {} trajectories)", train::TRAJECTORIES),
             "d": train::DIM,
@@ -159,7 +97,7 @@ fn context(cfg: &RunConfig) -> serde_json::Value {
         "available_parallelism": std::thread::available_parallelism().map_or(0, |n| n.get()),
         "kernel_backend": rntrajrec_nn::kernels::backend::active_name(),
         "pool_threads": rntrajrec_nn::pool::num_threads(),
-        "git_sha": rntrajrec_artifact::GIT_SHA,
+        "revision": cfg.revision.clone(),
         "params": workload_params(&cfg.workload),
     })
 }
@@ -167,7 +105,7 @@ fn context(cfg: &RunConfig) -> serde_json::Value {
 fn parse_args() -> Result<(RunConfig, PathBuf), String> {
     let mut workload = None;
     let (mut seed, mut seconds, mut trace) = (None, None, None);
-    let (mut serve_http, mut pack_city, mut out) = (None, None, None);
+    let (mut serve_http, mut pack_city, mut out, mut revision) = (None, None, None, None);
     let mut oracle = false;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -190,6 +128,7 @@ fn parse_args() -> Result<(RunConfig, PathBuf), String> {
             "--serve-http" => serve_http = Some(PathBuf::from(value()?)),
             "--pack-city" => pack_city = Some(PathBuf::from(value()?)),
             "--out" => out = Some(PathBuf::from(value()?)),
+            "--revision" => revision = Some(value()?),
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -219,6 +158,7 @@ fn parse_args() -> Result<(RunConfig, PathBuf), String> {
         oracle,
         serve_http,
         pack_city,
+        revision: revision.unwrap_or_else(|| "not given".to_string()),
     };
     Ok((cfg, out))
 }
@@ -226,8 +166,7 @@ fn parse_args() -> Result<(RunConfig, PathBuf), String> {
 fn run(cfg: &RunConfig) -> Result<Report, String> {
     match cfg.workload.as_str() {
         "http_idle" => http_idle::run(cfg, cfg.trace),
-        "engine_bursty" => engine::run(cfg, &bursty(), cfg.trace),
-        "bulk_offline" => engine::run(cfg, &bulk(), cfg.trace),
+        "bulk_offline" => engine::run(cfg, cfg.trace),
         _ => train::run(cfg, cfg.trace),
     }
 }
@@ -282,6 +221,14 @@ fn main() -> ExitCode {
     );
     for (name, unit) in spec {
         println!("  {name:<30} {:>14.4} {unit}", values[name]);
+    }
+    if !cfg.trace {
+        // From how many samples each `_p90` metric was read and at which
+        // percentile, and the run's p99 tail (recorded, not bounded).
+        for key in ["latency_samples", "ttfs_samples", "step_gap_samples"] {
+            let samples = serde_json::to_string(&report.details[key]).expect("json");
+            println!("  {key:<30} {samples}");
+        }
     }
     let error_rate = report.failed as f64 / report.attempted.max(1) as f64;
     println!(

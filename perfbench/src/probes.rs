@@ -468,7 +468,7 @@ pub fn replay_engine_layers(rows: &[Replayed], stats: (u64, u64, u64, u64), repo
     let qw: Vec<f64> = rows.iter().map(|r| r.queue_wait_ms).collect();
     let s = crate::stats::summarize(&qw);
     report.layer("engine.queue_wait_p50_ms", s.p50);
-    report.layer("engine.queue_wait_p99_ms", s.tail);
+    report.layer("engine.queue_wait_p99_ms", s.p99.value);
     report.layer(
         "engine.compute_p50_ms",
         median(&rows.iter().map(|r| r.compute_ms).collect::<Vec<_>>()),

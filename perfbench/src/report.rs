@@ -2,17 +2,17 @@
 
 use std::collections::BTreeMap;
 
-use crate::stats::{summarize_windows, Summary};
+use crate::stats::{summarize, Summary};
 
 /// End-to-end metrics, printed on every workload with `--trace 0`.
 pub const END_TO_END: &[(&str, &str)] = &[
     ("setup_s", "s"),
     ("latency_p50_ms", "ms"),
-    ("latency_p99_ms", "ms"),
+    ("latency_p90_ms", "ms"),
     ("ttfs_p50_ms", "ms"),
-    ("ttfs_p99_ms", "ms"),
+    ("ttfs_p90_ms", "ms"),
     ("step_gap_p50_ms", "ms"),
-    ("step_gap_p99_ms", "ms"),
+    ("step_gap_p90_ms", "ms"),
     ("slo_attainment", "ratio"),
     ("throughput_traj_s", "traj/s"),
     ("final_loss", "nats"),
@@ -113,9 +113,9 @@ impl Report {
 
     fn summaries(&self) -> [(&'static str, Summary); 3] {
         [
-            ("latency", summarize_windows(&self.e2e.latency_ms)),
-            ("ttfs", summarize_windows(&self.e2e.ttfs_ms)),
-            ("step_gap", summarize_windows(&self.e2e.step_gap_ms)),
+            ("latency", summarize(&self.e2e.latency_ms)),
+            ("ttfs", summarize(&self.e2e.ttfs_ms)),
+            ("step_gap", summarize(&self.e2e.step_gap_ms)),
         ]
     }
 
@@ -125,12 +125,12 @@ impl Report {
         m.insert("setup_s", self.e2e.setup_s);
         for (name, s) in self.summaries() {
             let (p50, tail): (&'static str, &'static str) = match name {
-                "latency" => ("latency_p50_ms", "latency_p99_ms"),
-                "ttfs" => ("ttfs_p50_ms", "ttfs_p99_ms"),
-                _ => ("step_gap_p50_ms", "step_gap_p99_ms"),
+                "latency" => ("latency_p50_ms", "latency_p90_ms"),
+                "ttfs" => ("ttfs_p50_ms", "ttfs_p90_ms"),
+                _ => ("step_gap_p50_ms", "step_gap_p90_ms"),
             };
             m.insert(p50, s.p50);
-            m.insert(tail, s.tail);
+            m.insert(tail, s.p90.value);
             self.details.insert(
                 match name {
                     "latency" => "latency_samples",
@@ -139,8 +139,9 @@ impl Report {
                 },
                 serde_json::json!({
                     "n": s.n,
-                    "windows": (s.n / crate::stats::WINDOW_MIN).clamp(1, crate::stats::WINDOWS),
-                    "tail_percentile": s.tail_pct,
+                    "p90_percentile": s.p90.pct,
+                    "p99": s.p99.value,
+                    "p99_percentile": s.p99.pct,
                 }),
             );
         }

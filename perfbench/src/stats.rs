@@ -1,16 +1,23 @@
 //! Order statistics for timing samples.
 
+/// The value at a tail percentile and the percentile it was read at.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Tail {
+    pub value: f64,
+    pub pct: f64,
+}
+
 /// A timing distribution reduced to the numbers the benchmark reports.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     pub n: usize,
     pub p50: f64,
-    /// Value at the highest percentile (capped at p99) that still has at
-    /// least [`TAIL_SAMPLES`] samples beyond it; the median when the
-    /// sample is too small for any percentile above it to qualify.
-    pub tail: f64,
-    /// The percentile `tail` was read at.
-    pub tail_pct: f64,
+    /// The highest percentile up to p90 with at least [`TAIL_SAMPLES`]
+    /// samples beyond it.
+    pub p90: Tail,
+    /// The highest percentile up to p99 with at least [`TAIL_SAMPLES`]
+    /// samples beyond it.
+    pub p99: Tail,
 }
 
 /// Samples that must lie beyond a reported tail percentile.
@@ -36,57 +43,39 @@ pub fn mean(values: &[f64]) -> f64 {
 }
 
 /// 0-based nearest-rank index of the tail value in a sorted sample of
-/// `n`: the highest percentile up to p99 with at least
+/// `n`: the highest percentile up to `cap` (in percent) with at least
 /// [`TAIL_SAMPLES`] samples above it. `None` when `n` is too small for
 /// any index at or above the median to qualify.
-pub fn tail_index(n: usize) -> Option<usize> {
+pub fn tail_index(n: usize, cap: usize) -> Option<usize> {
     if n < 2 * TAIL_SAMPLES + 1 {
         return None;
     }
-    let p99 = (0.99 * n as f64).ceil() as usize - 1;
-    Some(p99.min(n - 1 - TAIL_SAMPLES))
+    let at_cap = (cap * n).div_ceil(100) - 1;
+    Some(at_cap.min(n - 1 - TAIL_SAMPLES))
 }
 
+/// The median and the p90 and p99 tails (each the median when the sample
+/// is too small for any percentile above it to qualify).
 pub fn summarize(values: &[f64]) -> Summary {
     let mut v = values.to_vec();
     v.sort_by(f64::total_cmp);
     let n = v.len();
     let p50 = median(&v);
-    match tail_index(n) {
-        Some(k) => Summary {
-            n,
-            p50,
-            tail: v[k],
-            tail_pct: 100.0 * (k + 1) as f64 / n as f64,
+    let tail = |cap| match tail_index(n, cap) {
+        Some(k) => Tail {
+            value: v[k],
+            pct: 100.0 * (k + 1) as f64 / n as f64,
         },
-        None => Summary {
-            n,
-            p50,
-            tail: p50,
-            tail_pct: 50.0,
+        None => Tail {
+            value: p50,
+            pct: 50.0,
         },
-    }
-}
-
-/// Consecutive windows a timed phase is split into, and the fewest
-/// samples a window may hold.
-pub const WINDOWS: usize = 5;
-pub const WINDOW_MIN: usize = 100;
-
-/// Summarize samples in the order they were taken: split them into up
-/// to [`WINDOWS`] consecutive windows of at least [`WINDOW_MIN`]
-/// samples, summarize each, and report the median over windows. A
-/// stall confined to one or two windows then leaves the result alone.
-pub fn summarize_windows(in_order: &[f64]) -> Summary {
-    let windows = (in_order.len() / WINDOW_MIN).clamp(1, WINDOWS);
-    let size = in_order.len().div_ceil(windows).max(1);
-    let parts: Vec<Summary> = in_order.chunks(size).map(summarize).collect();
-    let pick = |f: fn(&Summary) -> f64| median(&parts.iter().map(f).collect::<Vec<_>>());
+    };
     Summary {
-        n: in_order.len(),
-        p50: pick(|s| s.p50),
-        tail: pick(|s| s.tail),
-        tail_pct: pick(|s| s.tail_pct),
+        n,
+        p50,
+        p90: tail(90),
+        p99: tail(99),
     }
 }
 
@@ -95,57 +84,41 @@ mod tests {
     use super::*;
 
     #[test]
-    fn windows_shrug_off_a_stall_in_one_window() {
-        // 1000 samples in 5 windows of 200; the third window is slow.
-        let v: Vec<f64> = (0..1000)
-            .map(|i| {
-                if (400..600).contains(&i) {
-                    50.0
-                } else {
-                    1.0 + (i % 200) as f64 / 200.0
-                }
-            })
-            .collect();
-        let s = summarize_windows(&v);
-        assert_eq!(s.n, 1000);
-        assert!(s.tail < 2.0 && s.p50 < 2.0, "{s:?}");
-        // Each window of 200 supports p95 (ten samples beyond it).
-        assert_eq!(s.tail_pct, 95.0);
-        // Too few samples for two windows: one plain summary.
-        let few: Vec<f64> = (0..150).map(f64::from).collect();
-        assert_eq!(summarize_windows(&few), summarize(&few));
-    }
-
-    #[test]
-    fn tail_is_p99_when_the_sample_supports_it() {
-        // 2000 samples: p99 (index 1979) has 20 samples beyond it.
-        assert_eq!(tail_index(2000), Some(1979));
+    fn tails_are_p90_and_p99_when_the_sample_supports_them() {
+        // 2000 samples: p90 (index 1799) and p99 (index 1979, 20 beyond).
+        assert_eq!(tail_index(2000, 90), Some(1799));
+        assert_eq!(tail_index(2000, 99), Some(1979));
         let v: Vec<f64> = (1..=2000).map(f64::from).collect();
         let s = summarize(&v);
-        assert_eq!(s.tail, 1980.0);
-        assert_eq!(s.tail_pct, 99.0);
+        assert_eq!((s.p90.value, s.p90.pct), (1800.0, 90.0));
+        assert_eq!((s.p99.value, s.p99.pct), (1980.0, 99.0));
     }
 
     #[test]
     fn tail_keeps_ten_samples_beyond_it() {
         // 100 samples: p99 would leave one beyond it; the highest
         // percentile with ten beyond is p90 (index 89).
-        assert_eq!(tail_index(100), Some(89));
+        assert_eq!(tail_index(100, 99), Some(89));
+        assert_eq!(tail_index(100, 90), Some(89));
         let v: Vec<f64> = (0..100).rev().map(f64::from).collect();
         let s = summarize(&v);
-        assert_eq!(s.tail, 89.0);
-        assert_eq!(v.iter().filter(|&&x| x > s.tail).count(), TAIL_SAMPLES);
-        assert_eq!(s.tail_pct, 90.0);
+        assert_eq!(s.p99.value, 89.0);
+        assert_eq!(v.iter().filter(|&&x| x > s.p99.value).count(), TAIL_SAMPLES);
+        assert_eq!(s.p99.pct, 90.0);
+        // 50 samples: ten beyond caps both tails at index 39 (p80).
+        assert_eq!(tail_index(50, 90), Some(39));
         // Exactly 1000: p99 leaves exactly ten beyond it.
-        assert_eq!(tail_index(1000), Some(989));
+        assert_eq!(tail_index(1000, 99), Some(989));
+        assert_eq!(tail_index(1000, 90), Some(899));
     }
 
     #[test]
     fn small_samples_fall_back_to_the_median() {
-        assert_eq!(tail_index(20), None);
-        assert_eq!(tail_index(21), Some(10));
+        assert_eq!(tail_index(20, 99), None);
+        assert_eq!(tail_index(21, 99), Some(10));
+        assert_eq!(tail_index(21, 90), Some(10));
         let s = summarize(&[3.0, 1.0, 2.0]);
-        assert_eq!((s.p50, s.tail, s.tail_pct), (2.0, 2.0, 50.0));
+        assert_eq!((s.p50, s.p90.value, s.p99.pct), (2.0, 2.0, 50.0));
         assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.5);
     }
 }

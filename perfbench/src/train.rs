@@ -224,7 +224,7 @@ pub fn run(cfg: &RunConfig, trace: bool) -> Result<Report, String> {
             "ledger.unattributed_ms",
             median(&rows.iter().map(|r| r.1).collect::<Vec<_>>()),
         );
-        report.layer("bench.gen_late_p99_ms", summarize(&late).tail);
+        report.layer("bench.gen_late_p99_ms", summarize(&late).p99.value);
         report.layer("bench.sent", matmuls.len() as f64);
         report.layer("bench.succeeded", matmuls.len() as f64);
         report.layer("bench.failed", 0.0);
