@@ -223,8 +223,9 @@ fn main() -> ExitCode {
         println!("  {name:<30} {:>14.4} {unit}", values[name]);
     }
     if !cfg.trace {
-        // From how many samples each `_p90` metric was read and at which
-        // percentile, and the run's p99 tail (recorded, not bounded).
+        // From how many samples each timing was summarized, the
+        // percentile its `_p90` was read at, and the run's median and p99
+        // tail (recorded, not bounded).
         for key in ["latency_samples", "ttfs_samples", "step_gap_samples"] {
             let samples = serde_json::to_string(&report.details[key]).expect("json");
             println!("  {key:<30} {samples}");

@@ -2,16 +2,16 @@
 
 use std::collections::BTreeMap;
 
-use crate::stats::{summarize, Summary};
+use crate::stats::{mean, summarize};
 
 /// End-to-end metrics, printed on every workload with `--trace 0`.
 pub const END_TO_END: &[(&str, &str)] = &[
     ("setup_s", "s"),
-    ("latency_p50_ms", "ms"),
+    ("latency_mean_ms", "ms"),
     ("latency_p90_ms", "ms"),
-    ("ttfs_p50_ms", "ms"),
+    ("ttfs_mean_ms", "ms"),
     ("ttfs_p90_ms", "ms"),
-    ("step_gap_p50_ms", "ms"),
+    ("step_gap_mean_ms", "ms"),
     ("step_gap_p90_ms", "ms"),
     ("slo_attainment", "ratio"),
     ("throughput_traj_s", "traj/s"),
@@ -111,34 +111,39 @@ impl Report {
         self.failed == 0 && self.attempted > 0
     }
 
-    fn summaries(&self) -> [(&'static str, Summary); 3] {
-        [
-            ("latency", summarize(&self.e2e.latency_ms)),
-            ("ttfs", summarize(&self.e2e.ttfs_ms)),
-            ("step_gap", summarize(&self.e2e.step_gap_ms)),
-        ]
-    }
-
     /// End-to-end metric values by name.
     pub fn end_to_end(&mut self) -> BTreeMap<&'static str, f64> {
         let mut m = BTreeMap::new();
         m.insert("setup_s", self.e2e.setup_s);
-        for (name, s) in self.summaries() {
-            let (p50, tail): (&'static str, &'static str) = match name {
-                "latency" => ("latency_p50_ms", "latency_p90_ms"),
-                "ttfs" => ("ttfs_p50_ms", "ttfs_p90_ms"),
-                _ => ("step_gap_p50_ms", "step_gap_p90_ms"),
-            };
-            m.insert(p50, s.p50);
-            m.insert(tail, s.p90.value);
+        let timings = [
+            (
+                "latency_mean_ms",
+                "latency_p90_ms",
+                "latency_samples",
+                &self.e2e.latency_ms,
+            ),
+            (
+                "ttfs_mean_ms",
+                "ttfs_p90_ms",
+                "ttfs_samples",
+                &self.e2e.ttfs_ms,
+            ),
+            (
+                "step_gap_mean_ms",
+                "step_gap_p90_ms",
+                "step_gap_samples",
+                &self.e2e.step_gap_ms,
+            ),
+        ];
+        for (mean_name, p90_name, samples, values) in timings {
+            let s = summarize(values);
+            m.insert(mean_name, mean(values));
+            m.insert(p90_name, s.p90.value);
             self.details.insert(
-                match name {
-                    "latency" => "latency_samples",
-                    "ttfs" => "ttfs_samples",
-                    _ => "step_gap_samples",
-                },
+                samples,
                 serde_json::json!({
                     "n": s.n,
+                    "p50": s.p50,
                     "p90_percentile": s.p90.pct,
                     "p99": s.p99.value,
                     "p99_percentile": s.p99.pct,
