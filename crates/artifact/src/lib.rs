@@ -555,7 +555,10 @@ impl Artifact {
                 .ok_or_else(|| corrupt("manifest field 'city_config' missing"))?,
         )?;
         let n = cur.take_u32("tensor count")? as usize;
-        if n > 1 << 20 {
+        // Every tensor record holds at least its name length, rows and
+        // cols (12 bytes): bound the count by the bytes left before
+        // reserving for it.
+        if n > 1 << 20 || n > cur.remaining() / 12 {
             return Err(corrupt(format!("implausible tensor count {n}")));
         }
         let mut params = Vec::with_capacity(n);
@@ -578,6 +581,14 @@ impl Artifact {
                     .ok_or_else(|| corrupt("int8 head dimensions overflow"))?;
                 let raw = cur.take_bytes(nb, "int8 weights")?;
                 let qt: Vec<i8> = raw.iter().map(|&b| b as i8).collect();
+                // `k = 0` passes the weight-size check with any `c`: bound
+                // the scale count by the bytes left before reserving.
+                if c > cur.remaining() / 4 {
+                    return Err(corrupt(format!(
+                        "int8 head claims {c} scales but only {} bytes remain",
+                        cur.remaining()
+                    )));
+                }
                 let mut scales = Vec::with_capacity(c);
                 for _ in 0..c {
                     scales.push(cur.take_f32("int8 scale")?);
@@ -751,6 +762,10 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     fn take_bytes(&mut self, n: usize, what: &str) -> Result<&'a [u8], ArtifactError> {
         if n > MAX_SECTION_BYTES || self.pos + n > self.buf.len() {
             return Err(corrupt(format!(
@@ -902,6 +917,58 @@ mod tests {
             Artifact::from_bytes(&wrong_version),
             Err(ArtifactError::Corrupt(_))
         ));
+    }
+
+    /// Re-frame `body` as a file: magic, version and a valid CRC, so the
+    /// reader gets past the checksum to the section parser.
+    fn framed(body: &[u8]) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        out.extend_from_slice(&crc32(body).to_le_bytes());
+        out.extend_from_slice(body);
+        out
+    }
+
+    /// A crafted int8 head with `k = 0` and `c = u32::MAX` passes the
+    /// weight-size check; the reader must refuse it rather than try to
+    /// reserve 16 GiB of scales (an allocation failure aborts the
+    /// process, which no reload error path can catch).
+    #[test]
+    fn crafted_int8_head_scale_count_is_rejected() {
+        let mut a = tiny_artifact();
+        a.quant = None;
+        let bytes = a.to_bytes();
+        // Replace the trailing "no int8 head" flag with a crafted header.
+        let mut body = bytes[12..bytes.len() - 1].to_vec();
+        body.push(1);
+        body.extend_from_slice(&0u32.to_le_bytes());
+        body.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            Artifact::from_bytes(&framed(&body)),
+            Err(ArtifactError::Corrupt(_))
+        ));
+    }
+
+    /// A tensor count the remaining bytes cannot hold is refused before
+    /// anything is reserved for it.
+    #[test]
+    fn tensor_count_beyond_remaining_bytes_is_rejected() {
+        let a = tiny_artifact();
+        let bytes = a.to_bytes();
+        let body = &bytes[12..];
+        // The count sits right after the manifest string.
+        let manifest = a.manifest_json();
+        let at = body
+            .windows(manifest.len())
+            .position(|w| w == manifest.as_bytes())
+            .expect("manifest in body")
+            + manifest.len();
+        let mut crafted = body[..at].to_vec();
+        crafted.extend_from_slice(&(1u32 << 20).to_le_bytes());
+        match Artifact::from_bytes(&framed(&crafted)) {
+            Err(ArtifactError::Corrupt(m)) => assert!(m.contains("tensor count"), "{m}"),
+            other => panic!("expected a corrupt tensor count, got {other:?}"),
+        }
     }
 
     #[test]

@@ -4,12 +4,13 @@
 //! `EndToEnd::predict`, a **city-scale intra-op thread sweep** (kernel
 //! parallelism via `NN_THREADS` / `rntrajrec_nn::pool`), and the
 //! matmul-invocation counts **before and after batched fusion** of both
-//! halves of the model — the per-member sequential decode versus the
-//! batched path that stacks same-step states into one matmul per head
-//! (`city_scale.decoder_fusion`), and the per-member GPS-Former encoder
-//! pass versus the stacked batched encoder with segment-scoped GraphNorm
-//! (`city_scale.encoder_fusion`) — with batched ≡ sequential bit-identity
-//! asserted for both — plus the **segment-head study**
+//! halves of the model — the fused path at B=1 run member by member (the
+//! "sequential" reference: what serving runs for a lone request) versus
+//! one batched decode that stacks same-step states into one matmul per
+//! head (`city_scale.decoder_fusion`), and likewise for the GPS-Former
+//! encoder with segment-scoped GraphNorm (`city_scale.encoder_fusion`) —
+//! with batched ≡ sequential bit-identity asserted for both — plus the
+//! **segment-head study**
 //! (`city_scale.segment_head`): masked-column sparse head FLOPs versus the
 //! dense head (bit-identical recovery asserted, ≥3× fewer head FLOPs gated
 //! in `check_bench`), the scalar vs AVX2 kernel-backend wall and ULP
@@ -37,7 +38,7 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use rntrajrec::model::{EndToEnd, MethodSpec};
+use rntrajrec::model::{EndToEnd, MethodSpec, StreamCtl};
 use rntrajrec::wire::{v2, RecoverRequest, RecoverResponse};
 use rntrajrec_bench::dump_json;
 use rntrajrec_models::{BatchMember, FeatureExtractor, SampleInput, SegmentHead};
@@ -205,27 +206,17 @@ fn main() {
     let big_model = EndToEnd::build(&MethodSpec::RnTrajRec, &big_city.net, &big_grid, big_dim, 7);
 
     // 3a. Decoder-step matmul invocations per request (fusion baseline:
-    // the per-member sequential decode).
+    // the "sequential" reference is the fused path at B=1, one member at a
+    // time — what serving runs for a lone request).
     let road = big_model.precompute_road().expect("RNTrajRec precomputes");
-    let encs: Vec<_> = big_inputs
-        .iter()
-        .map(|input| {
-            big_model
-                .encoder
-                .infer_one(&big_model.store, input, Some(&road))
-                .expect("infer path")
-        })
-        .collect();
-    let decode_seq = || -> Vec<Vec<(usize, f32)>> {
-        encs.iter()
-            .zip(&big_inputs)
-            .map(|(enc, input)| {
-                big_model
-                    .decoder
-                    .infer_run(&big_model.store, &enc.per_point, &enc.traj, input)
-            })
-            .collect()
+    let encode_one = |input: &SampleInput| {
+        big_model
+            .encoder
+            .infer_batch(&big_model.store, &[input], Some(&road))
+            .expect("infer path")
+            .remove(0)
     };
+    let encs: Vec<_> = big_inputs.iter().map(encode_one).collect();
     let members: Vec<BatchMember> = encs
         .iter()
         .zip(&big_inputs)
@@ -235,6 +226,17 @@ fn main() {
             sample,
         })
         .collect();
+    let decode_fused = |batch: &[BatchMember]| {
+        big_model
+            .decoder
+            .recover_batch_infer_with(&big_model.store, batch, SegmentHead::Sparse)
+    };
+    let decode_seq = || -> Vec<Vec<(usize, f32)>> {
+        members
+            .iter()
+            .map(|m| decode_fused(std::slice::from_ref(m)).remove(0))
+            .collect()
+    };
 
     let prof = kernels::profile_scope("decoder_sequential");
     let sequential = decode_seq();
@@ -249,9 +251,7 @@ fn main() {
     // 3b. Fused batched decode: one stacked matmul per head per step for
     // the whole micro-batch, bit-identical to the sequential loop.
     let prof = kernels::profile_scope("decoder_batched");
-    let batched = big_model
-        .decoder
-        .recover_batch_infer(&big_model.store, &members);
+    let batched = decode_fused(&members);
     let fused_matmuls = prof.finish().matmuls;
     assert_eq!(
         batched, sequential,
@@ -273,32 +273,19 @@ fn main() {
         t.elapsed().as_secs_f64() * 1000.0 / (fusion_reps * big_inputs.len()) as f64;
     let t = Instant::now();
     for _ in 0..fusion_reps {
-        std::hint::black_box(
-            big_model
-                .decoder
-                .recover_batch_infer(&big_model.store, &members),
-        );
+        std::hint::black_box(decode_fused(&members));
     }
     let fused_decode_ms =
         t.elapsed().as_secs_f64() * 1000.0 / (fusion_reps * big_inputs.len()) as f64;
     let fusion_speedup = seq_decode_ms / fused_decode_ms;
 
-    // 3c. Encoder fusion: the per-member GPS-Former pass versus one fused
-    // batched pass (`TrajEncoder::infer_batch`) — every Linear/attention
-    // projection one stacked matmul for the whole batch, GraphNorm
-    // statistics scoped per member so results stay bit-identical.
+    // 3c. Encoder fusion: the GPS-Former pass at B=1, one member at a
+    // time, versus one fused batched pass (`TrajEncoder::infer_batch`) —
+    // every Linear/attention projection one stacked matmul for the whole
+    // batch, GraphNorm statistics scoped per member so results stay
+    // bit-identical.
     let big_refs: Vec<&SampleInput> = big_inputs.iter().collect();
-    let encode_seq = || -> Vec<_> {
-        big_refs
-            .iter()
-            .map(|input| {
-                big_model
-                    .encoder
-                    .infer_one(&big_model.store, input, Some(&road))
-                    .expect("infer path")
-            })
-            .collect()
-    };
+    let encode_seq = || -> Vec<_> { big_inputs.iter().map(encode_one).collect() };
     let prof = kernels::profile_scope("encoder_sequential");
     let enc_sequential = encode_seq();
     let enc_seq_matmuls = prof.finish().matmuls;
@@ -605,13 +592,24 @@ fn main() {
     // numbers below are reported for context, not gated.
     let overhead_trials = if quick { 8 } else { 16 };
     let batch_refs: Vec<&SampleInput> = big_inputs.iter().collect();
-    let _ = std::hint::black_box(big_serving.recover_batch(&batch_refs)); // warm
+    // The engine's fused call, with no cancellation, admission or sink.
+    let recover_batch = || {
+        let ctl = &mut StreamCtl {
+            cancel: &mut |_, _| false,
+            admit: &mut |_| Vec::new(),
+            on_step: &mut |_| {},
+        };
+        big_serving
+            .recover_batch_stream(&batch_refs, false, ctl)
+            .expect("healthy batch")
+    };
+    let _ = std::hint::black_box(recover_batch()); // warm
 
     // 1) Recorder operations per traced batch.
     rntrajrec_obs::clear();
     rntrajrec_obs::set_enabled(true);
     let prof = kernels::profile_scope("tracing_overhead_count");
-    std::hint::black_box(big_serving.recover_batch(&batch_refs));
+    std::hint::black_box(recover_batch());
     let batch_kernels = prof.finish();
     rntrajrec_obs::set_enabled(false);
     let spans_per_batch = rntrajrec_obs::drain().len() as u64;
@@ -653,7 +651,7 @@ fn main() {
     let measure = |on: bool| {
         rntrajrec_obs::set_enabled(on);
         let t = Instant::now();
-        std::hint::black_box(big_serving.recover_batch(&batch_refs));
+        std::hint::black_box(recover_batch());
         let ms = t.elapsed().as_secs_f64() * 1000.0;
         rntrajrec_obs::set_enabled(false);
         if on {

@@ -105,8 +105,7 @@ impl MethodSpec {
 }
 
 /// Per-member recovered `(segment, rate)` paths plus a per-member
-/// "cancelled mid-decode" flag, as returned by
-/// [`EndToEnd::infer_predict_batch_ctl`].
+/// "cancelled mid-decode" flag, as returned by [`EndToEnd::infer`].
 pub type BatchDecodeOutcome = (Vec<Vec<(usize, f32)>>, Vec<bool>);
 
 /// An encoder + the shared decoder + its parameters and loss weights.
@@ -319,132 +318,31 @@ impl EndToEnd {
         self.encoder.precompute_road(&self.store)
     }
 
-    /// Tape-free greedy inference: the forward-only twin of
-    /// [`EndToEnd::predict`] with no autograd allocation. `road` is the
-    /// cached [`EndToEnd::precompute_road`] output (pass `None` to
-    /// recompute per call). Returns `None` when the encoder has no
-    /// tape-free path — callers fall back to [`EndToEnd::predict`].
-    pub fn infer_predict(
-        &self,
-        input: &SampleInput,
-        road: Option<&Tensor>,
-    ) -> Option<Vec<(usize, f32)>> {
-        self.infer_predict_with(input, road, SegmentHead::Sparse)
-    }
-
-    /// [`EndToEnd::infer_predict`] with an explicit decoder
-    /// [`SegmentHead`] (dense reference, sparse default, or quantized).
-    pub fn infer_predict_with(
-        &self,
-        input: &SampleInput,
-        road: Option<&Tensor>,
-        head: SegmentHead<'_>,
-    ) -> Option<Vec<(usize, f32)>> {
-        let enc = self.encoder.infer_one(&self.store, input, road)?;
-        Some(
-            self.decoder
-                .infer_run_with(&self.store, &enc.per_point, &enc.traj, input, head),
-        )
-    }
-
-    /// Tape-free **batched** greedy inference, fused end to end: the
-    /// encoder runs one stacked pass over the whole batch
-    /// ([`rntrajrec_models::TrajEncoder::infer_batch`] — RNTrajRec stacks
-    /// every member's per-point rows into one matmul per projection while
-    /// GraphNorm statistics stay scoped per member via segmented kernels,
-    /// so cross-request batching cannot change results), then the fused
-    /// decoder ([`Decoder::recover_batch_infer`]) recovers all members in
-    /// lock-step — one stacked matmul per head per decode step instead of
-    /// one per member. Results are bit-identical to calling
-    /// [`EndToEnd::infer_predict`] per input, for any batch composition.
-    /// Returns `None` when the encoder has no tape-free path.
-    pub fn infer_predict_batch(
-        &self,
-        inputs: &[&SampleInput],
-        road: Option<&Tensor>,
-    ) -> Option<Vec<Vec<(usize, f32)>>> {
-        self.infer_predict_batch_with(inputs, road, SegmentHead::Sparse)
-    }
-
-    /// [`EndToEnd::infer_predict_batch`] with an explicit decoder
-    /// [`SegmentHead`].
-    pub fn infer_predict_batch_with(
-        &self,
-        inputs: &[&SampleInput],
-        road: Option<&Tensor>,
-        head: SegmentHead<'_>,
-    ) -> Option<Vec<Vec<(usize, f32)>>> {
-        self.infer_predict_batch_ctl(inputs, road, head, &mut |_, _| false)
-            .map(|(paths, _)| paths)
-    }
-
-    /// [`EndToEnd::infer_predict_batch_with`] with **mid-decode
-    /// cancellation**: `cancel(member, step)` is consulted before each
-    /// lock-step decode step, and members it cuts are retired through the
-    /// decoder's state-compaction path
-    /// ([`Decoder::recover_batch_infer_ctl`]) — survivors stay
-    /// bit-identical to an uncancelled run. The serving engine uses this
-    /// to stop decoding for requests whose deadline expired inside a
-    /// fused batch. Returns per-member paths plus a cancelled flag.
-    pub fn infer_predict_batch_ctl(
-        &self,
-        inputs: &[&SampleInput],
-        road: Option<&Tensor>,
-        head: SegmentHead<'_>,
-        cancel: &mut dyn FnMut(usize, usize) -> bool,
-    ) -> Option<BatchDecodeOutcome> {
-        use std::sync::{Arc, OnceLock};
-        static ENCODER_SECONDS: OnceLock<Arc<rntrajrec_obs::metrics::Histogram>> = OnceLock::new();
-        static DECODER_SECONDS: OnceLock<Arc<rntrajrec_obs::metrics::Histogram>> = OnceLock::new();
-
-        let enc_started = std::time::Instant::now();
-        let encs = {
-            let _span = rntrajrec_obs::span("encoder.fused");
-            self.encoder.infer_batch(&self.store, inputs, road)?
-        };
-        ENCODER_SECONDS
-            .get_or_init(|| rntrajrec_obs::metrics::phase_seconds("encoder"))
-            .observe_duration(enc_started.elapsed());
-
-        let members: Vec<BatchMember> = encs
-            .iter()
-            .zip(inputs)
-            .map(|(enc, &sample)| BatchMember {
-                per_point: &enc.per_point,
-                traj: &enc.traj,
-                sample,
-            })
-            .collect();
-
-        let dec_started = std::time::Instant::now();
-        let decoded = {
-            let _span = rntrajrec_obs::span("decoder.fused");
-            self.decoder
-                .recover_batch_infer_ctl(&self.store, &members, head, cancel)
-        };
-        DECODER_SECONDS
-            .get_or_init(|| rntrajrec_obs::metrics::phase_seconds("decoder"))
-            .observe_duration(dec_started.elapsed());
-        Some(decoded)
-    }
-
-    /// The continuous-batching / streaming variant of
-    /// [`EndToEnd::infer_predict_batch_ctl`]: between decode ticks the
-    /// `admit` hook may hand over freshly dequeued requests — their
-    /// encoder pass runs *now* (fused across co-arrivals, or solo) and
-    /// the results are spliced into the live `[B, d]` decode stack
-    /// ([`Decoder::recover_batch_infer_stream`]). Every decoded step is
-    /// delivered through `on_step` as it is produced.
+    /// Tape-free greedy inference — the forward-only twin of
+    /// [`EndToEnd::predict`] and the only tape-free path: a micro-batch
+    /// runs one fused encoder pass
+    /// ([`rntrajrec_models::TrajEncoder::infer_batch`] — every member's
+    /// per-point rows stacked into one matmul per projection, GraphNorm
+    /// statistics scoped per member) and one fused lock-step decode
+    /// ([`Decoder::recover_batch_infer_stream`] — one stacked matmul per
+    /// head per step). A single request is a batch of one. Each member's
+    /// path is bit-identical to [`EndToEnd::predict`] on that input, for
+    /// any batch composition.
     ///
-    /// Incumbent members are bit-identical to a closed batch whether or
-    /// not anyone is admitted, and an admitted member is bit-identical
-    /// to the closed batch it would have led — the same invariant the
-    /// fused kernels already guarantee for arbitrary batch composition.
+    /// `road` is the cached [`EndToEnd::precompute_road`] output (pass
+    /// `None` to recompute per call). The `ctl` hooks drive mid-decode
+    /// cancellation (cancelled members are retired through the decoder's
+    /// state compaction — survivors stay bit-identical), continuous
+    /// batching (admitted requests are encoded now, fused across
+    /// co-arrivals, and spliced into the live decode stack) and per-step
+    /// streaming.
     ///
-    /// Returns outcomes indexed with the initial members first, then
-    /// admitted members in admission order. `None` when the encoder has
-    /// no tape-free path (then nothing was consumed from `admit`).
-    pub fn infer_predict_batch_stream(
+    /// Returns per-member paths and cancelled flags, indexed with the
+    /// initial members first, then admitted members in admission order.
+    /// `None` when the encoder has no tape-free path (then nothing was
+    /// consumed from `admit`) — callers fall back to
+    /// [`EndToEnd::predict`].
+    pub fn infer(
         &self,
         inputs: &[&SampleInput],
         road: Option<&Tensor>,
@@ -455,18 +353,18 @@ impl EndToEnd {
         static ENCODER_SECONDS: OnceLock<Arc<rntrajrec_obs::metrics::Histogram>> = OnceLock::new();
         static DECODER_SECONDS: OnceLock<Arc<rntrajrec_obs::metrics::Histogram>> = OnceLock::new();
 
-        if !self.encoder.has_infer() {
-            return None;
-        }
-        let enc_started = std::time::Instant::now();
+        let encode = |inputs: &[&SampleInput]| {
+            let started = std::time::Instant::now();
+            let encs = self.encoder.infer_batch(&self.store, inputs, road)?;
+            ENCODER_SECONDS
+                .get_or_init(|| rntrajrec_obs::metrics::phase_seconds("encoder"))
+                .observe_duration(started.elapsed());
+            Some(encs)
+        };
         let encs = {
             let _span = rntrajrec_obs::span("encoder.fused");
-            self.encoder.infer_batch(&self.store, inputs, road)?
+            encode(inputs)?
         };
-        ENCODER_SECONDS
-            .get_or_init(|| rntrajrec_obs::metrics::phase_seconds("encoder"))
-            .observe_duration(enc_started.elapsed());
-
         let members: Vec<BatchMember> = encs
             .iter()
             .zip(inputs)
@@ -483,19 +381,12 @@ impl EndToEnd {
             if newcomers.is_empty() {
                 return Vec::new();
             }
-            // The newcomer's encoder pass, fused across co-arrivals. One
+            // The newcomers' encoder pass, fused across co-arrivals. One
             // span per admission event (rendered `decoder.admit[k]`).
             let _span = rntrajrec_obs::span_indexed("decoder.admit", admissions);
             admissions += 1;
-            let started = std::time::Instant::now();
             let refs: Vec<&SampleInput> = newcomers.iter().collect();
-            let encs = self
-                .encoder
-                .infer_batch(&self.store, &refs, road)
-                .expect("encoder infer path validated at model load");
-            ENCODER_SECONDS
-                .get_or_init(|| rntrajrec_obs::metrics::phase_seconds("encoder"))
-                .observe_duration(started.elapsed());
+            let encs = encode(&refs).expect("encoder infer path checked by the initial pass");
             encs.into_iter()
                 .zip(&newcomers)
                 .map(|(enc, sample)| GrownMember {
@@ -528,10 +419,10 @@ impl EndToEnd {
     }
 }
 
-/// Control hooks for [`EndToEnd::infer_predict_batch_stream`]: the
-/// model-level twin of [`rntrajrec_models::DecodeHooks`], except `admit`
-/// hands over raw [`SampleInput`]s — the model runs their encoder pass
-/// before splicing them into the decode.
+/// Control hooks for [`EndToEnd::infer`]: the model-level twin of
+/// [`rntrajrec_models::DecodeHooks`], except `admit` hands over raw
+/// [`SampleInput`]s — the model runs their encoder pass before splicing
+/// them into the decode.
 pub struct StreamCtl<'h> {
     /// `cancel(member, step)` — retire the member before its step runs.
     pub cancel: &'h mut dyn FnMut(usize, usize) -> bool,
@@ -612,8 +503,24 @@ mod tests {
         }
     }
 
+    /// Closed-batch tape-free inference with the default sparse head.
+    fn infer(
+        model: &EndToEnd,
+        inputs: &[&SampleInput],
+        road: Option<&Tensor>,
+    ) -> Option<Vec<Vec<(usize, f32)>>> {
+        let ctl = &mut StreamCtl {
+            cancel: &mut |_, _| false,
+            admit: &mut |_| Vec::new(),
+            on_step: &mut |_| {},
+        };
+        model
+            .infer(inputs, road, SegmentHead::Sparse, ctl)
+            .map(|(paths, _)| paths)
+    }
+
     #[test]
-    fn tape_free_inference_matches_tape_predict() {
+    fn tape_free_batch_of_one_matches_tape_predict() {
         let (city, inputs, grid) = fixture();
         let model = EndToEnd::build(&MethodSpec::RnTrajRec, &city.net, &grid, 16, 7);
         assert!(model.supports_infer());
@@ -621,13 +528,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         for input in &inputs {
             let slow = model.predict(input, &mut rng);
-            let fast = model.infer_predict(input, Some(&road)).expect("infer path");
-            assert_eq!(slow.len(), fast.len());
-            for (j, (&(s_seg, s_rate), &(f_seg, f_rate))) in slow.iter().zip(&fast).enumerate() {
-                assert_eq!(s_seg, f_seg, "step {j}: segment diverged");
-                // Tape-free mirrors the tape op-for-op: bit-identical.
-                assert_eq!(s_rate, f_rate, "step {j}: rate not bit-identical");
-            }
+            let fast = infer(&model, &[input], Some(&road)).expect("infer path");
+            // Tape-free mirrors the tape op-for-op: bit-identical.
+            assert_eq!(fast, vec![slow]);
         }
     }
 
@@ -637,28 +540,25 @@ mod tests {
         let model = EndToEnd::build(&MethodSpec::MTrajRec, &city.net, &grid, 16, 7);
         assert!(!model.supports_infer());
         assert!(model.precompute_road().is_none());
-        assert!(model.infer_predict(&inputs[0], None).is_none());
-        assert!(model
-            .infer_predict_batch(&[&inputs[0], &inputs[1]], None)
-            .is_none());
+        assert!(infer(&model, &[&inputs[0]], None).is_none());
+        assert!(infer(&model, &[&inputs[0], &inputs[1]], None).is_none());
     }
 
     #[test]
-    fn batched_inference_matches_per_input_bitwise() {
+    fn batched_inference_matches_tape_predict_bitwise() {
         let (city, inputs, grid) = fixture();
         let model = EndToEnd::build(&MethodSpec::RnTrajRec, &city.net, &grid, 16, 7);
         let road = model.precompute_road().expect("X_road precompute");
         let refs: Vec<&SampleInput> = inputs.iter().collect();
-        let sequential: Vec<Vec<(usize, f32)>> = refs
-            .iter()
-            .map(|i| model.infer_predict(i, Some(&road)).expect("infer path"))
-            .collect();
-        let batched = model
-            .infer_predict_batch(&refs, Some(&road))
-            .expect("infer path");
-        assert_eq!(batched, sequential, "fused decode diverged");
+        let mut rng = StdRng::seed_from_u64(4);
+        let tape: Vec<Vec<(usize, f32)>> =
+            refs.iter().map(|i| model.predict(i, &mut rng)).collect();
+        let batched = infer(&model, &refs, Some(&road)).expect("infer path");
+        assert_eq!(batched, tape, "fused inference diverged from the tape");
+        // Recomputing X_road per call changes nothing.
+        assert_eq!(infer(&model, &refs, None), Some(tape));
         // Empty batch is a no-op.
-        assert_eq!(model.infer_predict_batch(&[], Some(&road)), Some(vec![]));
+        assert_eq!(infer(&model, &[], Some(&road)), Some(vec![]));
     }
 
     #[test]

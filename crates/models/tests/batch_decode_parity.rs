@@ -1,10 +1,12 @@
 //! Property suite for the fused batched decoder **and** encoder.
 //!
-//! The contract: [`Decoder::recover_batch_infer`] and
-//! [`RnTrajRecEncoder::infer_batch`] over an arbitrary micro-batch —
+//! The contract: the fused tape-free paths
+//! ([`Decoder::recover_batch_infer_stream`] and
+//! [`RnTrajRecEncoder::infer_batch`]) over an arbitrary micro-batch —
 //! ragged lengths, repeated members, any batch size, any intra-op thread
-//! count — are **bit-identical** to running [`Decoder::infer_run`] /
-//! [`RnTrajRecEncoder::infer_sample`] on each member alone. The batched
+//! count — are **bit-identical** to the tape forward
+//! ([`Decoder::run`] without teacher forcing / `TrajEncoder::encode`) on
+//! each member alone. The fused
 //! paths stack members' rows into one matrix per projection while every
 //! member-scoped reduction (attention rows, graph readout, GraphNorm
 //! statistics) keeps each member's own accumulation order; that is exactly
@@ -22,11 +24,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use rntrajrec_models::{
-    BatchMember, Decoder, DecoderConfig, FeatureExtractor, RnTrajRecConfig, RnTrajRecEncoder,
-    SampleInput, SegmentHead,
+    BatchMember, DecodeHooks, Decoder, DecoderConfig, EncoderOutput, FeatureExtractor,
+    RnTrajRecConfig, RnTrajRecEncoder, SampleInput, SegmentHead, TrajEncoder,
 };
 use rntrajrec_nn::kernels::backend::{self, Backend};
-use rntrajrec_nn::{pool, ParamStore, Tensor};
+use rntrajrec_nn::{pool, ParamStore, Tape, Tensor};
 use rntrajrec_roadnet::{CityConfig, RTree, SyntheticCity};
 use rntrajrec_synth::{RawPoint, RawTrajectory, SimConfig, Simulator, TimeContext};
 
@@ -60,9 +62,28 @@ impl Fixture {
         }
     }
 
-    fn sequential(&self, p: usize) -> Vec<(usize, f32)> {
+    /// The tape oracle: greedy [`Decoder::run`] on member `p` alone.
+    fn tape(&self, p: usize) -> Vec<(usize, f32)> {
         let (per_point, traj, sample) = &self.members[p];
-        self.decoder.infer_run(&self.store, per_point, traj, sample)
+        let mut tape = Tape::new();
+        let enc = EncoderOutput {
+            per_point: tape.leaf(per_point.clone()),
+            traj: tape.leaf(traj.clone()),
+        };
+        let run = self
+            .decoder
+            .run(&mut tape, &self.store, &enc, sample, false);
+        run.preds
+            .iter()
+            .zip(&run.rates)
+            .map(|(&seg, &rate)| (seg, tape.value(rate).item()))
+            .collect()
+    }
+
+    /// Closed-batch fused decode with the default (sparse) head.
+    fn fused(&self, batch: &[BatchMember<'_>]) -> Vec<Vec<(usize, f32)>> {
+        self.decoder
+            .recover_batch_infer_with(&self.store, batch, SegmentHead::Sparse)
     }
 }
 
@@ -119,12 +140,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Arbitrary ragged batches (any composition, with repeats) decoded in
-    /// one fused pass equal the per-member sequential decode bit-for-bit,
+    /// one fused pass equal the per-member tape decode bit-for-bit,
     /// at 1 and 4 intra-op kernel threads, under every available backend
     /// (the AVX2 kernels accumulate without zero-skip precisely so that
     /// batch composition cannot change any member's bits).
     #[test]
-    fn fused_batch_equals_sequential(
+    fn fused_batch_equals_tape(
         batch_size in 1usize..9,
         seed in 0u64..1_000_000,
     ) {
@@ -136,15 +157,15 @@ proptest! {
         for bk in backends() {
             backend::with_backend(bk, || {
                 pool::set_num_threads(1);
-                let sequential: Vec<Vec<(usize, f32)>> =
-                    picks.iter().map(|&p| fix.sequential(p)).collect();
+                let tape: Vec<Vec<(usize, f32)>> =
+                    picks.iter().map(|&p| fix.tape(p)).collect();
                 for threads in [1usize, 4] {
                     pool::set_num_threads(threads);
                     let batch: Vec<BatchMember> = picks.iter().map(|&p| fix.member(p)).collect();
-                    let batched = fix.decoder.recover_batch_infer(&fix.store, &batch);
+                    let batched = fix.fused(&batch);
                     pool::set_num_threads(1);
                     assert!(
-                        batched == sequential,
+                        batched == tape,
                         "diverged at {threads} threads under {}",
                         bk.name()
                     );
@@ -156,7 +177,7 @@ proptest! {
     /// Mid-decode cancellation (the deadline-propagation path): cancelling
     /// an arbitrary subset of members at arbitrary steps retires them
     /// through the state-compaction path, and every survivor stays
-    /// **bit-identical** to the sequential (uncancelled) decode — and each
+    /// **bit-identical** to the (uncancelled) tape decode — and each
     /// cancelled member's truncated output is bit-identical to the
     /// uncancelled run's prefix. Swept over backends and 1/4 intra-op
     /// threads like the main parity property.
@@ -185,16 +206,20 @@ proptest! {
         for bk in backends() {
             backend::with_backend(bk, || {
                 pool::set_num_threads(1);
-                let sequential: Vec<Vec<(usize, f32)>> =
-                    picks.iter().map(|&p| fix.sequential(p)).collect();
+                let tape: Vec<Vec<(usize, f32)>> =
+                    picks.iter().map(|&p| fix.tape(p)).collect();
                 for threads in [1usize, 4] {
                     pool::set_num_threads(threads);
                     let batch: Vec<BatchMember> = picks.iter().map(|&p| fix.member(p)).collect();
-                    let (out, cancelled) = fix.decoder.recover_batch_infer_ctl(
+                    let (out, cancelled) = fix.decoder.recover_batch_infer_stream(
                         &fix.store,
                         &batch,
                         SegmentHead::Sparse,
-                        &mut |i, j| cuts[i].is_some_and(|c| j >= c),
+                        &mut DecodeHooks {
+                            cancel: &mut |i, j| cuts[i].is_some_and(|c| j >= c),
+                            admit: &mut |_| Vec::new(),
+                            on_step: &mut |_| {},
+                        },
                     );
                     pool::set_num_threads(1);
                     for (i, path) in out.iter().enumerate() {
@@ -208,7 +233,7 @@ proptest! {
                         );
                         assert_eq!(path.len(), want_len, "member {i} output length");
                         assert!(
-                            path[..] == sequential[i][..want_len],
+                            path[..] == tape[i][..want_len],
                             "member {i} diverged from the uncancelled prefix at \
                              {threads} threads under {}",
                             bk.name()
@@ -229,7 +254,7 @@ proptest! {
     /// matmul and one concat round per wave) and not just the
     /// single-newcomer degenerate case. Incumbents must stay
     /// **bit-identical** to the closed-batch decode, and every admitted
-    /// member must be bit-identical to its solo sequential decode, under
+    /// member must be bit-identical to its solo tape decode, under
     /// every backend at 1 and 4 intra-op threads. The streamed `on_step`
     /// events must reproduce each member's output exactly, in per-member
     /// step order.
@@ -239,7 +264,7 @@ proptest! {
         wave_count in 1usize..4,
         seed in 0u64..1_000_000,
     ) {
-        use rntrajrec_models::{DecodeHooks, GrownMember, StepOut};
+        use rntrajrec_models::{GrownMember, StepOut};
 
         let mut rng = StdRng::seed_from_u64(seed);
         let picks: Vec<usize> = (0..batch_size)
@@ -280,8 +305,8 @@ proptest! {
         for bk in backends() {
             backend::with_backend(bk, || {
                 pool::set_num_threads(1);
-                let sequential: Vec<Vec<(usize, f32)>> =
-                    (0..POOL).map(|p| fix.sequential(p)).collect();
+                let tape: Vec<Vec<(usize, f32)>> =
+                    (0..POOL).map(|p| fix.tape(p)).collect();
                 for threads in [1usize, 4] {
                     pool::set_num_threads(threads);
                     let batch: Vec<BatchMember> = picks.iter().map(|&p| fix.member(p)).collect();
@@ -330,7 +355,7 @@ proptest! {
                         let want_len = cuts[i].map_or(target, |c| c.min(target));
                         assert_eq!(out[i].len(), want_len, "incumbent {} length", i);
                         assert!(
-                            out[i][..] == sequential[picks[i]][..want_len],
+                            out[i][..] == tape[picks[i]][..want_len],
                             "incumbent {} diverged at {} threads under {}",
                             i, threads, bk.name()
                         );
@@ -343,7 +368,7 @@ proptest! {
                     // Admitted members: bit-identical to their solo runs.
                     for (k, &p) in admitted.iter().enumerate() {
                         assert!(
-                            out[n + k][..] == sequential[p][..],
+                            out[n + k][..] == tape[p][..],
                             "admitted member {} diverged at {} threads under {}",
                             k, threads, bk.name()
                         );
@@ -431,39 +456,38 @@ fn quantized_head_recovery_is_valid_and_thread_invariant() {
     }
 }
 
-/// `B = 1` is the degenerate batch: it must reproduce the sequential path
-/// exactly (the stacked matrices are the member's own `[1, d]` rows).
+/// `B = 1` is the degenerate batch — and what serving runs for a lone
+/// request: it must reproduce the tape decode exactly (the stacked
+/// matrices are the member's own `[1, d]` rows).
 #[test]
-fn singleton_batch_equals_sequential() {
+fn singleton_batch_equals_tape() {
     let fix = fixture();
     pool::set_num_threads(1);
     for p in 0..POOL {
-        let batched = fix
-            .decoder
-            .recover_batch_infer(&fix.store, &[fix.member(p)]);
-        assert_eq!(batched[0], fix.sequential(p), "member {p} diverged at B=1");
+        let batched = fix.fused(&[fix.member(p)]);
+        assert_eq!(batched[0], fix.tape(p), "member {p} diverged at B=1");
     }
 }
 
 /// All-equal target lengths: no member ever retires early, so the stacked
 /// state never compacts — the pure lock-step regime.
 #[test]
-fn equal_length_batch_equals_sequential() {
+fn equal_length_batch_equals_tape() {
     let fix = fixture();
     pool::set_num_threads(1);
     // Members 3 and 4 share target length 9; repeat them.
     let picks = [3usize, 4, 3, 4];
-    let sequential: Vec<Vec<(usize, f32)>> = picks.iter().map(|&p| fix.sequential(p)).collect();
+    let tape: Vec<Vec<(usize, f32)>> = picks.iter().map(|&p| fix.tape(p)).collect();
     let batch: Vec<BatchMember> = picks.iter().map(|&p| fix.member(p)).collect();
-    let batched = fix.decoder.recover_batch_infer(&fix.store, &batch);
-    assert_eq!(batched, sequential);
+    let batched = fix.fused(&batch);
+    assert_eq!(batched, tape);
 }
 
 /// The empty batch is a no-op.
 #[test]
 fn empty_batch_is_noop() {
     let fix = fixture();
-    let batched = fix.decoder.recover_batch_infer(&fix.store, &[]);
+    let batched = fix.fused(&[]);
     assert!(batched.is_empty());
 }
 
@@ -472,10 +496,26 @@ fn empty_batch_is_noop() {
 struct EncoderFixture {
     store: ParamStore,
     encoder: RnTrajRecEncoder,
-    xroad: Tensor,
     /// Sample pool with ragged input lengths, including a single-point
     /// trajectory (the degenerate sub-graph/attention case).
     samples: Vec<SampleInput>,
+}
+
+impl EncoderFixture {
+    /// The tape oracle: `encode` on a batch of exactly sample `p`, so
+    /// GraphNorm statistics cover only its own sub-graphs. Returns
+    /// `(per_point, traj)`.
+    fn tape(&self, p: usize) -> (Tensor, Tensor) {
+        let mut tape = Tape::new();
+        let mut rng = StdRng::seed_from_u64(0);
+        let out = self
+            .encoder
+            .encode(&mut tape, &self.store, &[&self.samples[p]], false, &mut rng);
+        (
+            tape.value(out.outputs[0].per_point).clone(),
+            tape.value(out.outputs[0].traj).clone(),
+        )
+    }
 }
 
 const ENC_POOL: usize = 5;
@@ -521,11 +561,9 @@ fn encoder_fixture() -> &'static EncoderFixture {
             &grid,
             RnTrajRecConfig::small(16),
         );
-        let xroad = encoder.gridgnn.infer(&store);
         EncoderFixture {
             store,
             encoder,
-            xroad,
             samples,
         }
     })
@@ -536,7 +574,7 @@ proptest! {
 
     /// Arbitrary ragged batches (any composition, with repeats, including
     /// the single-point member) encoded in one fused pass equal the
-    /// per-member [`RnTrajRecEncoder::infer_sample`] bit-for-bit, at 1 and
+    /// per-member tape [`TrajEncoder::encode`] bit-for-bit, at 1 and
     /// 4 intra-op kernel threads — GraphNorm statistics must stay scoped
     /// to each member's own sub-graphs no matter what shares the batch.
     #[test]
@@ -552,23 +590,22 @@ proptest! {
         for bk in backends() {
             backend::with_backend(bk, || {
                 pool::set_num_threads(1);
-                let sequential: Vec<_> = picks
-                    .iter()
-                    .map(|&p| fix.encoder.infer_sample(&fix.store, &fix.samples[p], &fix.xroad))
-                    .collect();
+                let tape: Vec<_> = picks.iter().map(|&p| fix.tape(p)).collect();
+                // The tape recomputes X_road under the active backend.
+                let xroad = fix.encoder.gridgnn.infer(&fix.store);
                 for threads in [1usize, 4] {
                     pool::set_num_threads(threads);
                     let batch: Vec<&SampleInput> = picks.iter().map(|&p| &fix.samples[p]).collect();
-                    let batched = fix.encoder.infer_batch(&fix.store, &batch, &fix.xroad);
+                    let batched = fix.encoder.infer_batch(&fix.store, &batch, &xroad);
                     pool::set_num_threads(1);
-                    for (i, (got, want)) in batched.iter().zip(&sequential).enumerate() {
+                    for (i, (got, (per_point, traj))) in batched.iter().zip(&tape).enumerate() {
                         assert!(
-                            got.per_point.data == want.per_point.data,
+                            got.per_point.data == per_point.data,
                             "member {i} per-point diverged at {threads} threads under {}",
                             bk.name()
                         );
                         assert!(
-                            got.traj.data == want.traj.data,
+                            got.traj.data == traj.data,
                             "member {i} traj diverged at {threads} threads under {}",
                             bk.name()
                         );
@@ -580,22 +617,28 @@ proptest! {
 }
 
 /// `B = 1` and the single-point member: the stacked matrices degenerate to
-/// the member's own rows and a one-node attention/readout scope.
+/// the member's own rows and a one-node attention/readout scope, and the
+/// result is the tape's.
 #[test]
 fn singleton_and_single_point_encoder_batches() {
     let fix = encoder_fixture();
     pool::set_num_threads(1);
-    for p in 0..ENC_POOL {
-        let batched = fix
-            .encoder
-            .infer_batch(&fix.store, &[&fix.samples[p]], &fix.xroad);
-        let want = fix
-            .encoder
-            .infer_sample(&fix.store, &fix.samples[p], &fix.xroad);
-        assert_eq!(
-            batched[0].per_point.data, want.per_point.data,
-            "member {p} diverged at B=1"
-        );
-        assert_eq!(batched[0].traj.data, want.traj.data);
+    for bk in backends() {
+        backend::with_backend(bk, || {
+            let xroad = fix.encoder.gridgnn.infer(&fix.store);
+            for p in 0..ENC_POOL {
+                let batched = fix
+                    .encoder
+                    .infer_batch(&fix.store, &[&fix.samples[p]], &xroad);
+                let (per_point, traj) = fix.tape(p);
+                assert_eq!(
+                    batched[0].per_point.data,
+                    per_point.data,
+                    "member {p} diverged at B=1 under {}",
+                    bk.name()
+                );
+                assert_eq!(batched[0].traj.data, traj.data);
+            }
+        });
     }
 }

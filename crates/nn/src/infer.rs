@@ -27,10 +27,6 @@ pub fn add(a: &Tensor, b: &Tensor) -> Tensor {
     kernels::add(a, b)
 }
 
-pub fn sub(a: &Tensor, b: &Tensor) -> Tensor {
-    kernels::sub(a, b)
-}
-
 pub fn mul(a: &Tensor, b: &Tensor) -> Tensor {
     kernels::mul(a, b)
 }
@@ -235,19 +231,6 @@ pub fn repeat_rows(a: &Tensor, n: usize) -> Tensor {
     kernels::repeat_rows(a, n)
 }
 
-// ----- reductions -----------------------------------------------------------
-
-pub fn mean_rows(a: &Tensor) -> Tensor {
-    kernels::mean_rows(a)
-}
-
-/// Weighted mean over rows with fixed positive weights (normalised
-/// internally) — Eq. (6) pooling.
-pub fn weighted_mean_rows(a: &Tensor, weights: &[f32]) -> Tensor {
-    let norm = kernels::normalized_weights(a.rows, weights);
-    kernels::weighted_mean_rows(a, &norm)
-}
-
 // ----- lookup ---------------------------------------------------------------
 
 pub fn gather_rows(table: &Tensor, indices: &[usize]) -> Tensor {
@@ -304,7 +287,6 @@ mod tests {
 
         let pairs: Vec<(Tensor, crate::NodeId)> = vec![
             (add(&a, &b), tape.add(na, nb)),
-            (sub(&a, &b), tape.sub(na, nb)),
             (mul(&a, &b), tape.mul(na, nb)),
             (scale(&a, 0.37), tape.scale(na, 0.37)),
             (add_const(&a, -1.2), tape.add_const(na, -1.2)),
@@ -327,11 +309,6 @@ mod tests {
             (concat_rows(&[&a, &b]), tape.concat_rows(&[na, nb])),
             (select_rows(&a, 1, 2), tape.select_rows(na, 1, 2)),
             (repeat_rows(&v, 4), tape.repeat_rows(nv, 4)),
-            (mean_rows(&a), tape.mean_rows(na)),
-            (
-                weighted_mean_rows(&a, &[0.2, 0.5, 0.3]),
-                tape.weighted_mean_rows(na, &[0.2, 0.5, 0.3]),
-            ),
             (
                 gather_rows(&a, &[2, 0, 2]),
                 tape.gather_rows(na, &[2, 0, 2]),

@@ -355,8 +355,9 @@ proptest! {
 
     /// The segmented decoder-fusion kernels (stacked attention
     /// pre-activation, per-segment softmax, per-segment context product)
-    /// ≡ the per-member `infer` ops over random ragged segments (including
-    /// empty members), at every thread count × backend.
+    /// ≡ each member's own chain of `infer` ops over random ragged
+    /// segments (including empty members), at every thread count ×
+    /// backend.
     #[test]
     fn segmented_decoder_kernels_parity(nseg in 1usize..10, d in 1usize..24, seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -376,7 +377,7 @@ proptest! {
             backend::with_backend(bk, || {
                 pool::set_num_threads(1);
                 // Per-member reference: each member's own add_rowvec → tanh →
-                // matmul_nt → softmax_rows → matmul chain (the sequential
+                // matmul_nt → softmax_rows → matmul chain (the tape
                 // decoder's Eq. 14), stacked for comparison.
                 let mut pre_ref = Vec::new();
                 let mut alpha_ref = Vec::new();

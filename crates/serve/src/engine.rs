@@ -15,7 +15,8 @@
 //! the fused decoder runs one `[B, ·]` matmul per head per step instead of
 //! `B` separate `[1, ·]` products. Every fused kernel keeps the member's
 //! own per-element accumulation order, so batched results remain
-//! **bit-identical** to sequential per-request inference regardless of
+//! **bit-identical** to per-request inference (a batch of one, itself
+//! bit-identical to the tape forward) regardless of
 //! batch composition, worker count, or arrival order — property-tested in
 //! this crate and in `rntrajrec-models/tests/batch_decode_parity.rs`.
 //!
@@ -1605,9 +1606,9 @@ fn run_session(shared: &Shared, slot: &WorkerSlot, batch: Vec<Pending>, taken: I
     let final_size = members.len();
     // Per-member results: the streamed outcome, or — if the fused pass
     // panicked (e.g. an input built against a different road network
-    // tripping a shape assert) — a closed-batch re-run over the whole
-    // session, whose internal per-member fallback fails only the bad
-    // member, never the worker thread.
+    // tripping a shape assert) — one isolated solo pass per member, so
+    // only the bad member fails, never the worker thread. The fused pass
+    // is not re-run: it would panic again deterministically.
     let results: Vec<Result<Vec<(usize, f32)>, MemberError>> = match outcome {
         Ok((paths, cancelled)) => paths
             .into_iter()
@@ -1636,7 +1637,7 @@ fn run_session(shared: &Shared, slot: &WorkerSlot, batch: Vec<Pending>, taken: I
                 deadlines: members.iter().map(|m| m.deadline).collect(),
                 degraded_head,
             };
-            model.recover_batch_opts(&all_inputs, &opts)
+            model.recover_isolated(&all_inputs, &opts)
         }
     };
     let mut wait_samples: Vec<f64> = Vec::with_capacity(final_size);

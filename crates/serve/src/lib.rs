@@ -16,11 +16,15 @@
 //! * [`RecoveryEngine`] — a multi-threaded **micro-batching** scheduler:
 //!   requests queue up, a batch flushes on size ([`EngineConfig::max_batch`])
 //!   or deadline ([`EngineConfig::max_delay`]), workers drain whole batches
-//!   through the **fused decode path** ([`ServingModel::recover_batch`]):
-//!   encoders run per member, decoder steps run as stacked `[B, ·]`
-//!   matmuls — one product per head per step for the whole batch instead
-//!   of one per member. Batched output is bit-identical to sequential
-//!   per-request inference (every fused kernel preserves the member's own
+//!   through the **fused inference path**
+//!   ([`ServingModel::recover_batch_stream`]): one stacked encoder pass and
+//!   decoder steps as stacked `[B, ·]` matmuls — one product per
+//!   projection / head for the whole batch instead of one per member.
+//!   This is the only tape-free path: a lone request
+//!   ([`ServingModel::recover`]) is a batch of one, and the panic
+//!   fallback ([`ServingModel::recover_isolated`]) runs each member as its
+//!   own batch of one. Batched output is bit-identical to the tape forward
+//!   on each request alone (every fused kernel preserves the member's own
 //!   per-element accumulation order), so the fusion is pure performance,
 //!   never a numerical change.
 //! * [`http`] / [`HttpServer`] — the dependency-free HTTP/1.1 network
@@ -293,9 +297,15 @@ mod tests {
         );
         let mut bad = inputs[0].clone();
         bad.subgraphs[0].nodes[0] = usize::MAX / 2; // out of any road network's range
-        let failed = engine.recover(bad);
-        assert!(failed.error.is_some(), "corrupt input must report an error");
+        let failed = engine.recover(bad.clone());
         assert!(failed.path.is_empty());
+        // The engine reports exactly what the isolation call does.
+        match &model.recover_isolated(&[&bad], &BatchOptions::default())[..] {
+            [Err(MemberError::Failed(msg))] => {
+                assert_eq!(failed.error.as_deref(), Some(msg.as_str()))
+            }
+            other => panic!("corrupt input must fail in isolation, got {other:?}"),
+        }
 
         let good = engine.recover(inputs[1].clone());
         assert!(good.error.is_none());
@@ -306,8 +316,8 @@ mod tests {
     }
 
     /// A corrupt member inside a *multi-request* batch must fail alone:
-    /// the fused pass panics, the fallback recovers every healthy member
-    /// with its exact sequential result.
+    /// the fused pass panics, and the isolation call recovers every
+    /// healthy member in its own solo pass with its exact result.
     #[test]
     fn corrupt_member_fails_alone_inside_fused_batch() {
         let (city, inputs) = fixture(4);
@@ -315,19 +325,51 @@ mod tests {
         let mut bad = inputs[2].clone();
         bad.subgraphs[0].nodes[0] = usize::MAX / 2;
         let batch: Vec<&SampleInput> = vec![&inputs[0], &inputs[1], &bad, &inputs[3]];
-        let results = model.recover_batch(&batch);
+        let fused = model.recover_batch_stream(
+            &batch,
+            false,
+            &mut rntrajrec::StreamCtl {
+                cancel: &mut |_, _| false,
+                admit: &mut |_| Vec::new(),
+                on_step: &mut |_| {},
+            },
+        );
+        assert!(
+            fused.is_err(),
+            "the corrupt member must panic the fused pass"
+        );
+        let results = model.recover_isolated(&batch, &BatchOptions::default());
         assert_eq!(results.len(), 4);
         for (i, (input, result)) in batch.iter().zip(&results).enumerate() {
             if i == 2 {
-                assert!(result.is_err(), "corrupt member must error");
+                assert!(
+                    matches!(result, Err(MemberError::Failed(_))),
+                    "corrupt member must error"
+                );
             } else {
                 assert_eq!(
                     result.as_ref().expect("healthy member"),
                     &model.recover(input),
-                    "member {i} diverged in fallback"
+                    "member {i} diverged in isolation"
                 );
             }
         }
+    }
+
+    /// The isolation call honours deadlines per member: an expired
+    /// member fails without decoding while the others recover.
+    #[test]
+    fn isolated_recovery_honours_member_deadlines() {
+        let (city, inputs) = fixture(2);
+        let model = serving(&city);
+        let batch: Vec<&SampleInput> = inputs.iter().collect();
+        let opts = BatchOptions {
+            deadlines: vec![Some(std::time::Instant::now()), None],
+            degraded_head: false,
+        };
+        let results = model.recover_isolated(&batch, &opts);
+        assert_eq!(results[0], Err(MemberError::DeadlineExceeded));
+        assert_eq!(results[1], Ok(model.recover(&inputs[1])));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! the [`QueryContext`] that turns wire requests into model inputs.
 
 use rntrajrec::wire::RecoverRequest;
-use rntrajrec::EndToEnd;
+use rntrajrec::{BatchDecodeOutcome, EndToEnd, StreamCtl};
 use rntrajrec_geo::GridSpec;
 use rntrajrec_models::{FeatureExtractor, QueryError, SampleInput, SegmentHead};
 use rntrajrec_nn::quant::QuantizedLinear;
@@ -76,15 +76,14 @@ pub fn quant_head_env() -> bool {
     )
 }
 
-/// Per-batch serving options for [`ServingModel::recover_batch_opts`]:
-/// the engine's deadline and brownout decisions, carried into the fused
-/// pass.
+/// Per-batch serving options for [`ServingModel::recover_isolated`]:
+/// the engine's deadline and brownout decisions, carried into each
+/// member's pass.
 #[derive(Debug, Clone, Default)]
 pub struct BatchOptions {
     /// Per-member absolute deadlines (parallel to the input slice; empty
     /// = no deadlines). A member whose deadline passes mid-decode is
-    /// cancelled through the decoder's state-compaction path — survivors
-    /// stay bit-identical — and reported as
+    /// cancelled before its next step and reported as
     /// [`MemberError::DeadlineExceeded`].
     pub deadlines: Vec<Option<std::time::Instant>>,
     /// Brownout override: serve this batch with the int8 quantized head
@@ -99,8 +98,8 @@ pub enum MemberError {
     /// Inference panicked for this member (malformed input, injected
     /// fault); the engine itself stays up.
     Failed(String),
-    /// The member's deadline expired mid-decode and it was cancelled out
-    /// of the fused batch.
+    /// The member's deadline expired before or during its decode and it
+    /// was cancelled.
     DeadlineExceeded,
 }
 
@@ -198,10 +197,15 @@ impl ServingModel {
         }
     }
 
-    /// The degraded (brownout) segment head: always the int8 quantized
-    /// head — cheapest per step, pre-built at load.
-    pub fn degraded_head(&self) -> SegmentHead<'_> {
-        SegmentHead::Quantized(&self.quant)
+    /// The segment head for one pass: the default, or under brownout
+    /// (`degraded`) always the int8 quantized head — cheapest per step,
+    /// pre-built at load.
+    fn head_for(&self, degraded: bool) -> SegmentHead<'_> {
+        if degraded {
+            SegmentHead::Quantized(&self.quant)
+        } else {
+            self.head()
+        }
     }
 
     /// Short name of the default segment head, for logs and `/metrics`.
@@ -213,48 +217,49 @@ impl ServingModel {
         }
     }
 
-    /// Recover one trajectory on the tape-free hot path.
-    pub fn recover(&self, input: &SampleInput) -> RecoveredPath {
+    /// The one tape-free pass every recover call goes through
+    /// ([`EndToEnd::infer`]), over the cached road embeddings.
+    fn infer(
+        &self,
+        inputs: &[&SampleInput],
+        head: SegmentHead<'_>,
+        ctl: &mut StreamCtl<'_>,
+    ) -> BatchDecodeOutcome {
+        let road = self.road.as_ref().map(|c| &c.x_road);
         self.model
-            .infer_predict_with(input, self.road.as_ref().map(|c| &c.x_road), self.head())
+            .infer(inputs, road, head, ctl)
             .expect("infer path validated in ServingModel::new")
     }
 
-    /// Recover a whole micro-batch through the **fused encoder + decoder**
-    /// ([`rntrajrec::EndToEnd::infer_predict_batch`]): one stacked encoder
-    /// pass for the whole batch (GraphNorm statistics stay scoped per
-    /// member, so batching cannot change results) and decode steps as
-    /// stacked `[B, ·]` products — one matmul per projection / head
-    /// instead of one per member — with output bit-identical to
-    /// per-member [`ServingModel::recover`].
-    ///
-    /// Panic isolation: a malformed member panics the fused pass, so on
-    /// panic the batch falls back to per-member recovery, each member
-    /// individually caught — the bad request fails alone (`Err` with the
-    /// panic message) and every healthy member still returns its exact
-    /// result.
-    pub fn recover_batch(&self, inputs: &[&SampleInput]) -> Vec<Result<RecoveredPath, String>> {
-        self.recover_batch_opts(inputs, &BatchOptions::default())
-            .into_iter()
-            .map(|r| r.map_err(|e| e.to_string()))
-            .collect()
+    /// Recover one trajectory on the tape-free hot path (a batch of one).
+    pub fn recover(&self, input: &SampleInput) -> RecoveredPath {
+        let ctl = &mut StreamCtl {
+            cancel: &mut |_, _| false,
+            admit: &mut |_| Vec::new(),
+            on_step: &mut |_| {},
+        };
+        let (mut paths, _) = self.infer(&[input], self.head(), ctl);
+        paths.swap_remove(0)
     }
 
-    /// [`ServingModel::recover_batch`] with per-batch [`BatchOptions`]:
-    /// deadline propagation into the decode loop and the brownout head
-    /// override. Same fused pass, same panic-isolation fallback; members
-    /// cancelled mid-decode report [`MemberError::DeadlineExceeded`].
-    pub fn recover_batch_opts(
+    /// Recover each member in its **own** tape-free pass (a batch of one
+    /// each), every pass individually panic-caught: a malformed member
+    /// fails alone (`Err` with the panic message) and every healthy
+    /// member still returns its exact result — bit-identical to what a
+    /// fused batch would have produced. The engine's isolation path after
+    /// a fused pass panicked.
+    ///
+    /// [`BatchOptions`] carry the engine's deadline and brownout
+    /// decisions: a member whose deadline has already passed fails
+    /// without decoding, and one whose deadline passes mid-decode is
+    /// cancelled before its next step; both report
+    /// [`MemberError::DeadlineExceeded`].
+    pub fn recover_isolated(
         &self,
         inputs: &[&SampleInput],
         opts: &BatchOptions,
     ) -> Vec<Result<RecoveredPath, MemberError>> {
-        let road = self.road.as_ref().map(|c| &c.x_road);
-        let head = if opts.degraded_head {
-            self.degraded_head()
-        } else {
-            self.head()
-        };
+        let head = self.head_for(opts.degraded_head);
         let expired = |i: usize| {
             opts.deadlines
                 .get(i)
@@ -262,75 +267,54 @@ impl ServingModel {
                 .flatten()
                 .is_some_and(|d| std::time::Instant::now() >= d)
         };
-        let fused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.model
-                .infer_predict_batch_ctl(inputs, road, head, &mut |i, _step| expired(i))
-                .expect("infer path validated in ServingModel::new")
-        }));
-        match fused {
-            Ok((paths, cancelled)) => paths
-                .into_iter()
-                .zip(cancelled)
-                .map(|(path, cut)| {
-                    if cut {
-                        Err(MemberError::DeadlineExceeded)
-                    } else {
-                        Ok(path)
-                    }
-                })
-                .collect(),
-            Err(_) => inputs
-                .iter()
-                .enumerate()
-                .map(|(i, input)| {
-                    // Per-member fallback after a fused-pass panic. The
-                    // sequential path has no step-level cancel hook, so
-                    // the deadline is enforced at member granularity:
-                    // already-expired members fail without decoding.
-                    if expired(i) {
-                        return Err(MemberError::DeadlineExceeded);
-                    }
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        self.model
-                            .infer_predict_with(input, road, head)
-                            .expect("infer path validated in ServingModel::new")
-                    }))
-                    .map_err(|payload| MemberError::Failed(panic_message(&payload)))
-                })
-                .collect(),
-        }
+        inputs
+            .iter()
+            .enumerate()
+            .map(|(i, &input)| {
+                if expired(i) {
+                    return Err(MemberError::DeadlineExceeded);
+                }
+                let solo = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let ctl = &mut StreamCtl {
+                        cancel: &mut |_, _| expired(i),
+                        admit: &mut |_| Vec::new(),
+                        on_step: &mut |_| {},
+                    };
+                    self.infer(&[input], head, ctl)
+                }));
+                match solo {
+                    Ok((_, cancelled)) if cancelled[0] => Err(MemberError::DeadlineExceeded),
+                    Ok((mut paths, _)) => Ok(paths.swap_remove(0)),
+                    Err(payload) => Err(MemberError::Failed(panic_message(&payload))),
+                }
+            })
+            .collect()
     }
 
-    /// The continuous-batching / streaming sibling of
-    /// [`ServingModel::recover_batch_opts`]
-    /// ([`rntrajrec::EndToEnd::infer_predict_batch_stream`]): the
-    /// caller's [`rntrajrec::StreamCtl`] hooks drive mid-decode
-    /// cancellation, mid-decode **admission** of new requests (their
-    /// encoder pass runs fused with co-arrivals and splices into the
-    /// live decode stack), and per-step streaming. Incumbents stay
-    /// bit-identical to a closed batch whether or not anyone joins.
+    /// Recover a micro-batch through the **fused encoder + decoder** with
+    /// continuous batching and streaming ([`EndToEnd::infer`]): one
+    /// stacked encoder pass for the whole batch (GraphNorm statistics stay
+    /// scoped per member, so batching cannot change results) and decode
+    /// steps as stacked `[B, ·]` products — one matmul per projection /
+    /// head instead of one per member. The caller's [`StreamCtl`] hooks
+    /// drive mid-decode cancellation, mid-decode **admission** of new
+    /// requests (their encoder pass runs fused with co-arrivals and
+    /// splices into the live decode stack), and per-step streaming.
+    /// Every member's output is bit-identical to [`ServingModel::recover`]
+    /// on it alone, whether or not anyone joins.
     ///
-    /// Unlike the closed-batch path there is no per-member fallback
-    /// here: a panic in the fused pass returns `Err(message)` and the
-    /// caller (the engine) re-runs the collected session through
-    /// [`ServingModel::recover_batch_opts`], which isolates the bad
-    /// member.
+    /// A panic in the fused pass returns `Err(message)`; the caller (the
+    /// engine) then re-runs the collected session through
+    /// [`ServingModel::recover_isolated`], which isolates the bad member.
     pub fn recover_batch_stream(
         &self,
         inputs: &[&SampleInput],
         degraded_head: bool,
-        ctl: &mut rntrajrec::StreamCtl<'_>,
-    ) -> Result<(Vec<RecoveredPath>, Vec<bool>), String> {
-        let road = self.road.as_ref().map(|c| &c.x_road);
-        let head = if degraded_head {
-            self.degraded_head()
-        } else {
-            self.head()
-        };
+        ctl: &mut StreamCtl<'_>,
+    ) -> Result<BatchDecodeOutcome, String> {
+        let head = self.head_for(degraded_head);
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.model
-                .infer_predict_batch_stream(inputs, road, head, ctl)
-                .expect("infer path validated in ServingModel::new")
+            self.infer(inputs, head, ctl)
         }))
         .map_err(|payload| panic_message(&payload))
     }
