@@ -84,7 +84,6 @@ struct Args {
     queue_capacity: Option<usize>,
     deadline_ms: u64,
     max_batch: usize,
-    max_delay_ms: u64,
     workers: usize,
     conn_workers: usize,
     max_body_bytes: usize,
@@ -109,7 +108,6 @@ impl Default for Args {
             queue_capacity: Some(64),
             deadline_ms: 5000,
             max_batch: 8,
-            max_delay_ms: 2,
             workers: 2,
             conn_workers: 4,
             max_body_bytes: 1 << 20,
@@ -136,8 +134,7 @@ OPTIONS:
     --queue-capacity N|none admission bound on the engine queue (default 64;
                             0 sheds every request, none = unbounded)
     --deadline-ms N         per-request completion budget -> 503 (default 5000)
-    --max-batch N           micro-batch flush size (default 8)
-    --max-delay-ms N        micro-batch flush deadline (default 2)
+    --max-batch N           most requests per micro-batch (default 8)
     --workers N             engine worker threads (default 2)
     --conn-workers N        HTTP connection-handler threads (default 4)
     --max-body-bytes N      request body cap -> 413 (default 1 MiB)
@@ -204,7 +201,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--deadline-ms" => args.deadline_ms = parse_u64(&value)?,
             "--max-batch" => args.max_batch = parse_usize(&value)?.max(1),
-            "--max-delay-ms" => args.max_delay_ms = parse_u64(&value)?,
             "--workers" => args.workers = parse_usize(&value)?.max(1),
             "--conn-workers" => args.conn_workers = parse_usize(&value)?.max(1),
             "--max-body-bytes" => args.max_body_bytes = parse_usize(&value)?,
@@ -256,9 +252,9 @@ fn main() -> ExitCode {
 
     let engine_config = EngineConfig {
         max_batch: args.max_batch,
-        max_delay: Duration::from_millis(args.max_delay_ms),
         workers: args.workers,
-        threads_per_worker: 0,
+        // One kernel thread per worker: B=1 kernels don't repay a pool handoff.
+        threads_per_worker: 1,
         queue_capacity: args.queue_capacity,
         batch_timeout: args.batch_timeout_ms.map(Duration::from_millis),
         brownout: args.brownout.then(|| match args.queue_capacity {
@@ -400,12 +396,11 @@ fn main() -> ExitCode {
 
     println!("listening on http://{}", server.local_addr());
     println!(
-        "admission: queue_capacity={:?} deadline={}ms max_body={}B; engine: max_batch={} max_delay={}ms workers={}",
+        "admission: queue_capacity={:?} deadline={}ms max_body={}B; engine: max_batch={} workers={}",
         args.queue_capacity,
         args.deadline_ms,
         args.max_body_bytes,
         args.max_batch,
-        args.max_delay_ms,
         args.workers,
     );
     println!(

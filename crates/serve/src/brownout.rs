@@ -9,7 +9,7 @@
 //! |-------|-----------------|-----------------------------------------------|
 //! | 0     | `normal`        | configured head, configured batching          |
 //! | 1     | `degraded_head` | decoder segment head → int8 quantized         |
-//! | 2     | `shrink_batch`  | + `max_batch`/2 and `max_delay`/4             |
+//! | 2     | `shrink_batch`  | + `max_batch`/2                               |
 //! | 3     | `shed`          | + new submissions refused (`503 Retry-After`) |
 //!
 //! Stepping **up** is immediate (pressure at the next level's watermark);

@@ -1,10 +1,10 @@
 //! The micro-batching recovery engine.
 //!
-//! Requests are appended to a shared queue; worker threads pop *batches* —
-//! a batch flushes as soon as it reaches [`EngineConfig::max_batch`]
-//! requests, or when its oldest request has waited
-//! [`EngineConfig::max_delay`] (continuous-batching style: size bounds
-//! throughput overhead, the deadline bounds tail latency at low load).
+//! Requests are appended to a shared queue; an idle worker takes whatever
+//! is queued at once, up to [`EngineConfig::max_batch`], and later
+//! arrivals splice into its batch between decode steps
+//! ([`EngineConfig::continuous`]). [`EngineConfig::max_delay`] is an
+//! opt-in window that holds a partial batch for co-arrivals.
 //!
 //! Each flushed batch is recovered through the **fully fused inference
 //! path** against the shared read-only [`ServingModel`]: one stacked
@@ -34,8 +34,8 @@
 //!   instead of wedging their clients forever,
 //! - **drives brownout degradation**: a [`BrownoutController`] watching
 //!   queue depth and queue-wait p99 steps through degraded modes —
-//!   quantized segment head, shrunk batching window, full shed — and the
-//!   supervisor applies the active level to the live batching knobs,
+//!   quantized segment head, halved `max_batch`, full shed — and the
+//!   supervisor applies the active level to the live `max_batch`,
 //! - samples the **drain rate** (completions/sec) that the HTTP layer
 //!   turns into adaptive `Retry-After` values.
 //!
@@ -65,7 +65,8 @@ use crate::{BatchOptions, MemberError, ServingModel};
 pub struct EngineConfig {
     /// Flush a batch as soon as it holds this many requests.
     pub max_batch: usize,
-    /// Flush a non-empty batch once its oldest request is this old.
+    /// Opt-in window holding a partial batch until its oldest request is
+    /// this old; the default, zero, starts whatever is queued at once.
     pub max_delay: Duration,
     /// Worker threads executing batches.
     pub workers: usize,
@@ -126,7 +127,7 @@ impl Default for EngineConfig {
         let workers = std::thread::available_parallelism().map_or(2, |n| n.get().min(8));
         Self {
             max_batch: 8,
-            max_delay: Duration::from_millis(2),
+            max_delay: Duration::ZERO,
             workers,
             // The default worker count already covers the cores; keep
             // kernels single-threaded per worker unless configured.
@@ -454,7 +455,7 @@ pub struct EngineStats {
     pub batches: u64,
     /// Batches flushed because they reached `max_batch`.
     pub flushed_full: u64,
-    /// Batches flushed by the `max_delay` deadline (or shutdown drain).
+    /// Partial flushes: fewer than `max_batch` queued when a worker came free.
     pub flushed_deadline: u64,
     /// Mean requests per batch.
     pub mean_batch: f64,
@@ -604,13 +605,12 @@ struct Shared {
     shutdown: AtomicBool,
     next_id: AtomicU64,
     counters: Counters,
-    /// Configured batching knobs (the brownout baseline).
+    /// Configured `max_batch` (the brownout baseline).
     base_max_batch: usize,
-    base_max_delay: Duration,
-    /// *Effective* batching knobs — what `take_batch` reads; the brownout
-    /// controller shrinks these under pressure.
+    /// *Effective* `max_batch` — what `take_batch` reads; the brownout
+    /// controller halves it under pressure.
     max_batch: AtomicUsize,
-    max_delay_ns: AtomicU64,
+    max_delay: Duration,
     queue_capacity: Option<usize>,
     batch_timeout: Option<Duration>,
     /// Step-event queue bound per streaming submission
@@ -646,9 +646,9 @@ impl Shared {
         self.brownout_level.load(Ordering::Relaxed)
     }
 
-    /// Apply a brownout ladder level to the live batching knobs.
-    /// Idempotent per level; wakes batch assemblers so a shrunk
-    /// `max_delay` takes effect immediately.
+    /// Apply a brownout ladder level to the live `max_batch`.
+    /// Idempotent per level; wakes batch assemblers so a shrunk batch
+    /// takes effect immediately.
     fn apply_level(&self, level: u8) {
         let prev = self.brownout_level.swap(level, Ordering::Relaxed);
         if prev == level {
@@ -657,16 +657,12 @@ impl Shared {
         self.counters
             .brownout_shifts
             .fetch_add(1, Ordering::Relaxed);
-        let (mb, md) = if level >= 2 {
-            (
-                (self.base_max_batch / 2).max(1),
-                self.base_max_delay.as_nanos() as u64 / 4,
-            )
+        let mb = if level >= 2 {
+            (self.base_max_batch / 2).max(1)
         } else {
-            (self.base_max_batch, self.base_max_delay.as_nanos() as u64)
+            self.base_max_batch
         };
         self.max_batch.store(mb, Ordering::Relaxed);
-        self.max_delay_ns.store(md, Ordering::Relaxed);
         self.cond.notify_all();
     }
 
@@ -732,9 +728,8 @@ impl RecoveryEngine {
             next_id: AtomicU64::new(0),
             counters: Counters::default(),
             base_max_batch: config.max_batch,
-            base_max_delay: config.max_delay,
             max_batch: AtomicUsize::new(config.max_batch),
-            max_delay_ns: AtomicU64::new(config.max_delay.as_nanos() as u64),
+            max_delay: config.max_delay,
             queue_capacity: config.queue_capacity,
             batch_timeout: config.batch_timeout,
             stream_queue: config.stream_queue.max(1),
@@ -1217,7 +1212,6 @@ fn take_batch(shared: &Shared) -> Option<(Vec<Pending>, Instant)> {
     let mut q = shared.queue.lock().unwrap();
     let full = loop {
         let max_batch = shared.max_batch.load(Ordering::Relaxed);
-        let max_delay = Duration::from_nanos(shared.max_delay_ns.load(Ordering::Relaxed));
         if q.len() >= max_batch {
             break true; // flush on size
         }
@@ -1225,10 +1219,10 @@ fn take_batch(shared: &Shared) -> Option<(Vec<Pending>, Instant)> {
         match q.front() {
             Some(oldest) => {
                 let age = oldest.enqueued.elapsed();
-                if draining || age >= max_delay {
-                    break false; // flush on deadline (or shutdown drain)
+                if draining || age >= shared.max_delay {
+                    break false; // partial flush: window over (or drain)
                 }
-                let (guard, _) = shared.cond.wait_timeout(q, max_delay - age).unwrap();
+                let (guard, _) = shared.cond.wait_timeout(q, shared.max_delay - age).unwrap();
                 q = guard;
             }
             None => {

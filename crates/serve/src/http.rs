@@ -67,8 +67,9 @@
 //!
 //! # Graceful drain
 //!
-//! [`HttpServer::shutdown`] stops the acceptor (no new connections),
-//! lets every connection worker finish its in-flight request, closes
+//! [`HttpServer::shutdown`] stops the acceptor (no new connections; it
+//! blocks in `accept`, so the drain wakes it with a self-connect), lets
+//! every connection worker finish its in-flight request, closes
 //! persistent connections at the next request boundary, and joins all
 //! threads. Engine workers drain their queue when the last engine handle
 //! drops — `serve_http` wires this to `SIGTERM`.
@@ -77,7 +78,7 @@
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -319,7 +320,6 @@ impl HttpServer {
     pub fn start_router(router: Arc<ShardRouter>, config: HttpConfig) -> std::io::Result<Self> {
         assert!(config.connection_workers >= 1, "need at least one worker");
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let state = Arc::new(ServerState {
             router,
@@ -378,6 +378,20 @@ impl HttpServer {
     fn drain(&mut self) {
         self.state.shutdown.store(true, Ordering::SeqCst);
         if let Some(a) = self.acceptor.take() {
+            // The acceptor blocks in `accept`: wake it with a self-connect
+            // (through loopback for an unspecified bind) until one lands.
+            let mut wake = self.local_addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            while !a.is_finished()
+                && TcpStream::connect_timeout(&wake, Duration::from_millis(100)).is_err()
+            {
+                std::thread::sleep(Duration::from_millis(10));
+            }
             let _ = a.join();
         }
         for w in self.workers.drain(..) {
@@ -397,8 +411,9 @@ fn acceptor_loop(
     conn_tx: &mpsc::SyncSender<TcpStream>,
     state: &ServerState,
 ) {
-    while !state.shutdown.load(Ordering::SeqCst) {
+    loop {
         match listener.accept() {
+            Ok(_) if state.shutdown.load(Ordering::SeqCst) => break,
             Ok((stream, _)) => {
                 state.counters.connections.fetch_add(1, Ordering::Relaxed);
                 // Chaos: an accept-time fault closes the connection
@@ -429,9 +444,7 @@ fn acceptor_loop(
                     Err(mpsc::TrySendError::Disconnected(_)) => break,
                 }
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            // A real accept error (EMFILE, ...): back off, don't spin.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }

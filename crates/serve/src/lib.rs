@@ -14,9 +14,9 @@
 //!   read-only (`Arc`) across worker threads, so per-request work is only
 //!   the GPS encoder and decoder.
 //! * [`RecoveryEngine`] — a multi-threaded **micro-batching** scheduler:
-//!   requests queue up, a batch flushes on size ([`EngineConfig::max_batch`])
-//!   or deadline ([`EngineConfig::max_delay`]), workers drain whole batches
-//!   through the **fused inference path**
+//!   an idle worker takes what is queued (up to [`EngineConfig::max_batch`])
+//!   at once, later arrivals splice in between decode steps, and workers
+//!   run batches through the **fused inference path**
 //!   ([`ServingModel::recover_batch_stream`]): one stacked encoder pass and
 //!   decoder steps as stacked `[B, ·]` matmuls — one product per
 //!   projection / head for the whole batch instead of one per member.
@@ -197,27 +197,41 @@ mod tests {
     }
 
     #[test]
-    fn deadline_flushes_partial_batches() {
+    fn idle_worker_starts_lone_request_at_once() {
         let (city, inputs) = fixture(1);
         let model = serving(&city);
-        // Batch size far larger than the request count: only the deadline
-        // can flush this.
+        let engine = RecoveryEngine::start(model, EngineConfig::default());
+        let r = engine.recover(inputs[0].clone());
+        assert_eq!(r.batch_size, 1);
+        assert!(
+            r.queue_wait < Duration::from_millis(100),
+            "a lone request waited {:?} on an idle engine",
+            r.queue_wait
+        );
+        let stats = engine.stats();
+        assert_eq!(stats.flushed_deadline, 1);
+        assert_eq!(stats.flushed_full, 0);
+    }
+
+    #[test]
+    fn opt_in_max_delay_holds_partial_batches() {
+        let (city, inputs) = fixture(1);
+        let model = serving(&city);
         let engine = RecoveryEngine::start(
             model,
             EngineConfig {
-                max_batch: 64,
-                max_delay: Duration::from_millis(5),
-                workers: 1,
-                threads_per_worker: 0,
-                queue_capacity: None,
+                max_delay: Duration::from_millis(200),
                 ..EngineConfig::default()
             },
         );
         let r = engine.recover(inputs[0].clone());
         assert_eq!(r.batch_size, 1);
-        let stats = engine.stats();
-        assert_eq!(stats.flushed_deadline, 1);
-        assert_eq!(stats.flushed_full, 0);
+        assert!(
+            r.queue_wait >= Duration::from_millis(200),
+            "the batching window released a lone request after {:?}",
+            r.queue_wait
+        );
+        assert_eq!(engine.stats().flushed_deadline, 1);
     }
 
     #[test]

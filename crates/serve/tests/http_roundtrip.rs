@@ -8,8 +8,10 @@
 //! blown deadline → 503, and concurrent clients actually sharing one
 //! fused micro-batch (asserted through the kernel matmul counter).
 
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::io::ErrorKind;
+use std::net::{Ipv4Addr, SocketAddr, TcpStream};
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -460,6 +462,61 @@ fn graceful_shutdown_stops_accepting_after_drain() {
     // The engine drains cleanly afterwards.
     assert_eq!(engine.stats().completed, 1);
     drop(engine);
+}
+
+/// The acceptor blocks in `accept`, so the drain has to wake it. With no
+/// client ever connecting, `shutdown()` must still return promptly, on a
+/// loopback bind and on an unspecified one (woken through loopback), and
+/// leave the port closed.
+#[test]
+fn shutdown_wakes_an_acceptor_no_client_reached() {
+    let _g = lock();
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let http = HttpConfig {
+            addr: bind.to_string(),
+            ..HttpConfig::default()
+        };
+        let Harness { server, .. } = boot(quick_engine(), http, 1);
+        let port = server.local_addr().port();
+        let (done_tx, done_rx) = mpsc::channel();
+        let drainer = std::thread::spawn(move || {
+            server.shutdown();
+            let _ = done_tx.send(());
+        });
+        assert!(
+            done_rx.recv_timeout(Duration::from_secs(2)).is_ok(),
+            "shutdown of a server bound to {bind} did not return within 2 s"
+        );
+        drainer.join().expect("drain thread");
+        let loopback = SocketAddr::from((Ipv4Addr::LOCALHOST, port));
+        let err = TcpStream::connect_timeout(&loopback, Duration::from_secs(1))
+            .expect_err("the listener must be closed after shutdown");
+        assert_eq!(err.kind(), ErrorKind::ConnectionRefused, "{bind}: {err}");
+    }
+}
+
+/// A new connection reaches a worker as soon as it arrives: on an idle
+/// server, a fresh-connection `GET /healthz` stays under 4 ms. An
+/// acceptor polling with a 10 ms sleep on `WouldBlock` reads about 7 ms.
+#[test]
+fn idle_fresh_connection_round_trip_is_not_polled() {
+    let _g = lock();
+    let h = boot(quick_engine(), ephemeral_http(), 1);
+    let mut rtts: Vec<Duration> = (0..21)
+        .map(|_| {
+            std::thread::sleep(Duration::from_millis(3));
+            let t = Instant::now();
+            let resp = client::get(h.addr(), "/healthz").expect("healthz");
+            assert_eq!(resp.status, 200);
+            t.elapsed()
+        })
+        .collect();
+    rtts.sort();
+    assert!(
+        rtts[rtts.len() / 2] < Duration::from_millis(4),
+        "median fresh-connection round trip {:?} (all: {rtts:?})",
+        rtts[rtts.len() / 2]
+    );
 }
 
 /// One traced POST must yield a complete Chrome-trace span tree at

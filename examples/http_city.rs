@@ -9,7 +9,6 @@
 //! ```
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -39,7 +38,6 @@ fn main() {
         Arc::clone(&serving),
         EngineConfig {
             max_batch: 8,
-            max_delay: Duration::from_millis(2),
             workers: 2,
             threads_per_worker: 0,
             queue_capacity: Some(64),

@@ -8,7 +8,7 @@
 //! ```
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use rntrajrec::experiments::{ExperimentScale, Pipeline};
 use rntrajrec::model::{EndToEnd, MethodSpec};
@@ -66,7 +66,6 @@ fn main() {
         Arc::clone(&serving),
         EngineConfig {
             max_batch: 8,
-            max_delay: Duration::from_millis(2),
             workers: 4,
             threads_per_worker: 0,
             queue_capacity: None,
@@ -112,7 +111,7 @@ fn main() {
         stats.completed as f64 / wall
     );
     println!(
-        "  {} micro-batches (mean size {:.2}; {} flushed full, {} by deadline)",
+        "  {} micro-batches (mean size {:.2}; {} flushed full, {} partial)",
         stats.batches, stats.mean_batch, stats.flushed_full, stats.flushed_deadline
     );
 
